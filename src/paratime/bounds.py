@@ -24,41 +24,15 @@ from .systems import OdeSystem
 
 Array = np.ndarray
 
-_POWER_ITERS = 300
-_POWER_TOL = 1e-12
-
 
 def spectral_norm(M: Array) -> float:
-    """Induced 2-norm by power iteration on M^T M.
-
-    Deterministic start vector with early exit once the Rayleigh quotient
-    settles; the iteration cap covers matrices with nearly degenerate top
-    singular values.  Adequate for the small dense matrices (d <= 40) this
-    library works with.
-    """
+    """Induced 2-norm: the largest singular value of M, from an SVD."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ConfigError(f"spectral_norm expects a matrix, got shape {M.shape}")
-    n = M.shape[1]
-    if n == 0 or M.shape[0] == 0:
+    if M.size == 0:
         return 0.0
-    # Mildly sloped start vector: deterministic, not orthogonal to anything
-    # by symmetry accidents.
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = M.T @ (M @ v)
-        new = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(new - est) <= _POWER_TOL * max(new, 1e-30):
-            est = new
-            break
-        est = new
-    return float(np.sqrt(max(est, 0.0)))
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)

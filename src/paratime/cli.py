@@ -15,7 +15,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import engine, experiments, metrics
-from .config import SolveConfig, SweepConfig, load_solve_config, load_sweep_config
+from .config import SolveConfig, SweepConfig, load_sweep_config, read_config_file
 from .errors import BlowUpError, ConfigError, StepFailureError
 from .presets import PRESETS
 
@@ -53,20 +53,23 @@ def _add_solve_args(p):
     p.add_argument("--lam", type=float, help="Lyapunov exponent for weight=lyapunov")
 
 
-def _build_solve_config(args) -> SolveConfig:
-    over = _solve_overrides(args)
+def _solve_config(args) -> SolveConfig:
+    """The preset or config file, overridden by the flags; not validated."""
     if args.preset:
         base = PRESETS[args.preset]
         if not isinstance(base, SolveConfig):
             raise ConfigError(f"preset {args.preset!r} is a sweep preset")
         data = base.to_dict()
-        data.update({k: v for k, v in over.items() if v is not None})
-        cfg = SolveConfig.from_dict(data)
-        cfg.validate()
-        return cfg
-    if args.config:
-        return load_solve_config(args.config, over)
-    cfg = SolveConfig.from_dict({k: v for k, v in over.items() if v is not None})
+    elif args.config:
+        data = read_config_file(args.config)
+    else:
+        data = {}
+    data.update({k: v for k, v in _solve_overrides(args).items() if v is not None})
+    return SolveConfig.from_dict(data)
+
+
+def _build_solve_config(args) -> SolveConfig:
+    cfg = _solve_config(args)
     cfg.validate()
     return cfg
 
@@ -166,14 +169,9 @@ def _cmd_basin(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    # Only the system and starting state matter here; fill in a trivial grid
-    # so a bare `--system ... --u0 ...` invocation works.
-    if args.config is None and args.preset is None:
-        args.T = args.T if args.T is not None else 1.0
-        args.N = args.N if args.N is not None else 1
-        args.xi = args.xi if args.xi is not None else 1
-        args.L = args.L if args.L is not None else 1
-    cfg = _build_solve_config(args)
+    # Only the system and its starting state matter here: the grid flags are
+    # accepted with the other shared flags but neither resolved nor checked.
+    cfg = _solve_config(args)
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
     lam = metrics.lyapunov_estimate(system, u0, spinup=args.spinup,

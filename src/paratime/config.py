@@ -174,9 +174,14 @@ class SweepConfig:
         return cls(base=SolveConfig.from_dict(base), **data)
 
 
-def load_solve_config(path: str, overrides: dict | None = None) -> SolveConfig:
+def read_config_file(path: str) -> dict:
+    """The key-value document in a YAML config file ({} when empty)."""
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        return yaml.safe_load(fh) or {}
+
+
+def load_solve_config(path: str, overrides: dict | None = None) -> SolveConfig:
+    data = read_config_file(path)
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = SolveConfig.from_dict(data)
     cfg.validate()
@@ -184,8 +189,7 @@ def load_solve_config(path: str, overrides: dict | None = None) -> SolveConfig:
 
 
 def load_sweep_config(path: str, overrides: dict | None = None) -> SweepConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    data = read_config_file(path)
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = SweepConfig.from_dict(data)
     cfg.validate()

@@ -6,6 +6,24 @@ advanced in lock-step.  Elementwise arithmetic is identical whether states
 are advanced one at a time or as a batch, which is what makes the engine's
 chunk-parallel sweep schedule-independent.
 
+A single ``(d,)`` state with a scalar start time is advanced on Python
+floats instead, when the system supplies ``scalar_rhs`` and the tableau is
+explicit, or has one stage and ``d == 1`` (with ``scalar_jac``).  This is
+every serial path: the coarse guess, the corrected coarse sweep, the serial
+fine reference, the sweep's shared reference walk and the Lyapunov spin-up.
+The float step performs the same IEEE operations in the same order as the
+array step, so its output is bitwise equal; a numpy call on a ``(3,)``
+array is almost all per-call overhead.  Measured per step on a 2-core
+machine (Python 3.11, numpy 2.4), with bitwise-equal output:
+
+    Lorenz-63 RK4                  41 us array step, 7.7 us float step
+    logistic implicit Euler        86 us array step, 2.4 us float step
+    Lorenz-96 (d=40) RK4           61 us array step, 68 us on Python lists
+
+so Lorenz-96 has no scalar kernel and stays on numpy.  Batched states,
+tangent propagation and the stepwise re-run that names a blow-up step
+always use the array step.
+
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
 is differentiated), so ``m = d`` with an identity seed yields the exact
@@ -15,6 +33,7 @@ Jacobian of the numerical chunk map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -154,12 +173,23 @@ class Propagator:
     tableau: ButcherTableau
     step: float
     steps_per_call: int
+    # Coefficients of the float step: per stage (c_i h, nonzero (j, h A_ij)),
+    # then the nonzero (i, h b_i), products formed as the array step forms them.
+    float_coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step <= 0.0:
             raise ConfigError(f"propagator: step must be > 0, got {self.step}")
         if self.steps_per_call < 1:
             raise ConfigError("propagator: steps_per_call must be >= 1")
+        A, b, c, h = self.tableau.A, self.tableau.b, self.tableau.c, self.step
+        s = self.tableau.s
+        stages = tuple(
+            (float(c[i] * h),
+             tuple((j, float(h * A[i, j])) for j in range(s) if A[i, j] != 0.0))
+            for i in range(s))
+        weights = tuple((i, float(h * b[i])) for i in range(s) if b[i] != 0.0)
+        object.__setattr__(self, "float_coeffs", (stages, weights))
 
 
 def fine_propagator(grid: GridSpec, tableau: ButcherTableau) -> Propagator:
@@ -378,23 +408,93 @@ def _locate_blowup(prop, system, t0, u):
     raise BlowUpError("chunk output non-finite but no failing step found")
 
 
+def _float_step_explicit(rhs, coeffs, t, u):
+    """One explicit RK step on a list of floats; mirrors :func:`_step_explicit`."""
+    stages, weights = coeffs
+    k = []
+    for ch, row in stages:
+        Y = u
+        for j, a in row:
+            Y = [y + a * kj for y, kj in zip(Y, k[j])]
+        k.append(rhs(t + ch, Y))
+    for i, hb in weights:
+        u = [y + hb * ki for y, ki in zip(u, k[i])]
+    return u
+
+
+def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
+                         maxiter=NEWTON_MAXITER):
+    """One single-stage implicit step for ``d == 1`` on floats; mirrors
+    :func:`_step_implicit_single_stage`, failure included."""
+    # One stage (c_0 h, its one coefficient h A_00) and one weight h b_0.
+    ((ch, ((_, ha),)),), ((_, hb),) = coeffs
+    rhs, jac = system.scalar_rhs, system.scalar_jac
+    ts = t + ch
+    (u,) = u
+    y = u
+    tol_eff = tol * max(1.0, abs(u))
+    for _ in range(maxiter):
+        f = rhs(ts, (y,))[0]
+        R = y - u - ha * f
+        res = abs(R)
+        if res <= tol_eff:
+            break
+        M = 1.0 - ha * jac(ts, (y,))
+        try:
+            delta = -R / M
+        except ZeroDivisionError:
+            # The array step divides by zero as numpy does: +-inf or nan.
+            delta = float(np.float64(-R) / M)
+        y = y + delta
+    else:
+        raise StepFailureError(
+            f"implicit stage solve did not converge in {maxiter} iterations "
+            f"(max residual {res:.3e})", residual=res)
+    return [u + hb * f]
+
+
+def _float_kernel(prop: Propagator, system: OdeSystem, t0, u):
+    """The float step for this call, or None when the array step must run."""
+    if (system.scalar_rhs is None or t0.ndim != 0
+            or not isinstance(u, np.ndarray) or u.dtype != np.float64
+            or u.shape != (system.dim,)):
+        return None
+    tableau = prop.tableau
+    if tableau.is_explicit:
+        return partial(_float_step_explicit, system.scalar_rhs, prop.float_coeffs)
+    if tableau.s == 1 and system.dim == 1 and system.scalar_jac is not None:
+        return partial(_float_step_implicit, system, prop.float_coeffs)
+    return None
+
+
 def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     """Apply the propagator over one chunk: steps_per_call fixed RK steps.
 
     ``u`` may carry leading batch axes; ``t0`` may then be an array of
-    matching shape (per-chunk start times).
+    matching shape (per-chunk start times).  A single state takes the float
+    step where one exists (see the module docstring); its output is bitwise
+    equal to the array step's.
     """
     t0 = np.asarray(t0, dtype=float)
-    u_in = u
-    for i in range(prop.steps_per_call):
-        t = t0 + i * prop.step
-        u = rk_step(prop.tableau, system, t, u, prop.step)
+    step = prop.step
+    kernel = _float_kernel(prop, system, t0, u)
+    if kernel is not None:
+        t_start = float(t0)
+        y = u.tolist()
+        for i in range(prop.steps_per_call):
+            y = kernel(t_start + i * step, y)
+        out = np.array(y)
+    else:
+        out = u
+        for i in range(prop.steps_per_call):
+            t = t0 + i * step
+            out = rk_step(prop.tableau, system, t, out, step)
     # Finite check once per chunk; polynomial vector fields keep non-finite
     # values non-finite, so a blow-up always surfaces at the chunk end.  The
     # failed chunk is re-run stepwise only to report the failing step.
-    if not np.isfinite(u).all():
-        _locate_blowup(prop, system, t0, u_in)
-    return u
+    if not np.isfinite(out).all():
+        _locate_blowup(prop, system, t0, u)
+    return out
 
 
 def propagate_with_tangent(prop: Propagator, system: OdeSystem, t0, u: Array,

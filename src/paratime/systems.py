@@ -4,12 +4,19 @@ Each system is a plain container of callables.  Right-hand sides and
 Jacobians are vectorized over leading axes: ``rhs(t, u)`` accepts ``u``
 of shape ``(..., d)`` and returns the same shape, ``jac(t, u)`` returns
 ``(..., d, d)``.  All built-in systems are autonomous and ignore ``t``.
+
+Logistic, linear and Lorenz-63 also carry Python-float kernels, which the
+integrators use to advance a single state (see ``integrators``):
+``scalar_rhs(t, u)`` takes a sequence of ``d`` floats and returns a tuple,
+and for ``d == 1`` ``scalar_jac(t, u)`` returns the one Jacobian entry as a
+float.  Each evaluates the same expressions in the same order as its array
+counterpart, so the results are bitwise equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +40,10 @@ class OdeSystem:
     rhs: Callable[[float, Array], Array] = None
     jac: Callable[[float, Array], Array] = None
     known_lambda: Optional[float] = None
+    # Optional float kernels; a system built with ``dataclasses.replace``
+    # keeps them, so replace them too when the dynamics change.
+    scalar_rhs: Optional[Callable[[float, Sequence[float]], tuple]] = None
+    scalar_jac: Optional[Callable[[float, Sequence[float]], float]] = None
 
 
 def make_logistic() -> OdeSystem:
@@ -44,8 +55,17 @@ def make_logistic() -> OdeSystem:
     def jac(t, u):
         return (1.0 - 2.0 * u)[..., np.newaxis]
 
+    def scalar_rhs(t, u):
+        (x,) = u
+        return (x * (1.0 - x),)
+
+    def scalar_jac(t, u):
+        (x,) = u
+        return 1.0 - 2.0 * x
+
     return OdeSystem(name="logistic", dim=1, params={}, rhs=rhs, jac=jac,
-                     known_lambda=-1.0)
+                     known_lambda=-1.0, scalar_rhs=scalar_rhs,
+                     scalar_jac=scalar_jac)
 
 
 def make_linear(a: float = 1.0) -> OdeSystem:
@@ -59,8 +79,16 @@ def make_linear(a: float = 1.0) -> OdeSystem:
         out[...] = a
         return out
 
+    def scalar_rhs(t, u):
+        (x,) = u
+        return (a * x,)
+
+    def scalar_jac(t, u):
+        return float(a)
+
     return OdeSystem(name="linear", dim=1, params={"a": a}, rhs=rhs, jac=jac,
-                     known_lambda=a)
+                     known_lambda=a, scalar_rhs=scalar_rhs,
+                     scalar_jac=scalar_jac)
 
 
 def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
@@ -88,9 +116,14 @@ def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
         out[..., 2, 2] = -b
         return out
 
+    def scalar_rhs(t, u):
+        x, y, z = u
+        return (sigma * (y - x), x * (rho - z) - y, x * y - b * z)
+
     return OdeSystem(name="lorenz63", dim=3,
                      params={"sigma": sigma, "rho": rho, "b": b},
-                     rhs=rhs, jac=jac, known_lambda=0.9056)
+                     rhs=rhs, jac=jac, known_lambda=0.9056,
+                     scalar_rhs=scalar_rhs)
 
 
 def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
@@ -118,6 +151,8 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
         out[..., idx, idx] += -1.0
         return out
 
+    # No float kernels: at d = 40 a step on Python lists is slower than the
+    # array step.
     # known_lambda: literature value for the standard D=40, F=8 setup.
     lam = 1.67 if (D == 40 and F == 8.0) else None
     return OdeSystem(name="lorenz96", dim=D, params={"D": D, "F": F},

@@ -11,7 +11,8 @@ from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
                                   coarse_propagator, fine_propagator,
                                   get_tableau, stability_function)
 from paratime.systems import (OdeSystem, make_linear, make_logistic,
-                              make_lorenz63)
+                              default_initial_state, make_lorenz63,
+                              make_lorenz96)
 
 
 def test_spectral_norm_matches_svd():
@@ -24,6 +25,18 @@ def test_spectral_norm_matches_svd():
     v = rng.normal(size=6)
     assert spectral_norm(np.outer(v, v)) == pytest.approx(v @ v, rel=1e-9)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_spectral_norm_exact_on_lorenz96_jacobian():
+    """Lorenz-96 Jacobians along a walk have close top singular values; a
+    power iteration stopped early under-estimates their norm."""
+    sys40 = make_lorenz96()
+    grid = GridSpec.make(T=4.0, N=8, xi=10, h=5e-3)
+    ref = fine_serial_reference(fine_propagator(grid, RK4), sys40, grid,
+                                default_initial_state(sys40))
+    for t, u in zip(grid.interface_times, ref.states):
+        J = sys40.jac(t, u)
+        assert spectral_norm(J) == np.linalg.norm(J, 2)
 
 
 def test_transport_term_values():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,29 @@ def test_blowup_carries_chunk_index():
         parareal_solve(system, grid, fine, coarse,
                        StopCriterion("standard", 1e-9), np.array([1.0]))
     assert err.value.chunk_index is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_indices_same_without_float_kernels():
+    """Blow-ups on the serial float path name the same step and chunk as the
+    numpy path: in the solve (its fine sweep) and in the serial reference."""
+    system = make_linear(50.0)
+    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+    grid = GridSpec.make(T=40.0, N=4, xi=10, h=0.1)
+    fine = fine_propagator(grid, RK4)
+    coarse = coarse_propagator(grid, RK4)
+    runs = (lambda s: parareal_solve(s, grid, fine, coarse,
+                                     StopCriterion("standard", 1e-9),
+                                     np.array([1.0])),
+            lambda s: fine_serial_reference(fine, s, grid, np.array([1.0])))
+    for run in runs:
+        indices = []
+        for s in (system, array_only):
+            with pytest.raises(BlowUpError) as err:
+                run(s)
+            indices.append((err.value.step_index, err.value.chunk_index))
+        assert indices[0] == indices[1]
+        assert None not in indices[0]
 
 
 def test_initial_state_dimension_check(lorenz_setup):

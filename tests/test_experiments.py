@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -8,11 +9,13 @@ from paratime.config import (SolveConfig, SweepConfig, dump_config,
                              load_solve_config, load_sweep_config)
 from paratime.engine import fine_serial_reference
 from paratime.errors import ConfigError
-from paratime.experiments import (emit_plotdata, read_basin, read_sweep_csv,
-                                  run_single, run_sweep, write_basin)
-from paratime.integrators import RK4, Propagator
+from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
+                                  read_sweep_csv, run_single, run_sweep,
+                                  write_basin)
+from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
+                                  fine_propagator)
 from paratime.metrics import basin_scan
-from paratime.systems import make_lorenz63
+from paratime.systems import make_logistic, make_lorenz63
 
 
 def small_solve_config(**overrides):
@@ -186,3 +189,23 @@ def test_basin_round_trip(tmp_path):
     assert np.allclose(loaded.values, grid.values, rtol=1e-5)
     files = emit_plotdata(str(path), "basin", str(tmp_path / "p3"))
     assert len(files) == 1
+
+
+@pytest.mark.parametrize("system,tab,u0", [
+    (make_lorenz63(), RK4, [1.0, 1.0, 1.0]),
+    (make_logistic(), IMPLICIT_EULER, [1e-3]),
+], ids=["lorenz63-rk4", "logistic-implicit-euler"])
+def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
+    """The sweep's one shared walk gives every row's serial fine reference,
+    bit for bit, and so does the walk without float kernels."""
+    u0 = np.array(u0)
+    grids = [GridSpec.make(T=T, N=N, xi=10, h=1e-3)
+             for T, N in ((0.8, 4), (1.6, 4), (1.6, 16))]
+    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+    cache = _ReferenceCache(system, tab, 1e-3, u0, grids)
+    array_cache = _ReferenceCache(array_only, tab, 1e-3, u0, grids)
+    for step in cache.snapshots:
+        assert np.array_equal(cache.snapshots[step], array_cache.snapshots[step])
+    for grid in grids:
+        ref = fine_serial_reference(fine_propagator(grid, tab), system, grid, u0)
+        assert np.array_equal(cache.trajectory(grid).states, ref.states)

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
-from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4,
+from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4, TABLEAUX,
                                   ButcherTableau, GridSpec, Propagator,
-                                  coarse_propagator, fine_propagator,
-                                  get_tableau, propagate,
+                                  _float_kernel, coarse_propagator,
+                                  fine_propagator, get_tableau, propagate,
                                   propagate_with_jacobian,
                                   propagate_with_tangent, rk_step,
                                   stability_function)
@@ -205,3 +207,83 @@ def test_grid_propagator_wiring():
     assert coarse.step * coarse.steps_per_call == pytest.approx(grid.dT)
     assert coarse.step == pytest.approx(grid.xi * grid.h)
     assert fine.steps_per_call == grid.L * grid.xi
+
+
+def array_only(system):
+    """The same system without float kernels: propagate uses numpy only."""
+    return dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+
+
+# Systems with float kernels, each with a batch of in-range states.
+FLOAT_SYSTEMS = {
+    "logistic": (make_logistic(), [[1e-3], [0.2], [0.7], [1.3]]),
+    "linear": (make_linear(-0.8), [[3.0], [-1.5], [0.0], [1e-9]]),
+    "lorenz63": (make_lorenz63(), [[1.0, 1.0, 1.0], [-5.6, -7.3, 22.0],
+                                   [13.8, 13.0, 34.9]]),
+}
+
+
+@pytest.mark.parametrize("tab", list(TABLEAUX.values()), ids=list(TABLEAUX))
+@pytest.mark.parametrize("name", list(FLOAT_SYSTEMS))
+def test_single_state_matches_batch_row_bitwise(name, tab):
+    """A (d,) state, on the float path where one exists, gives the same bits
+    as the same row propagated in an (n, d) numpy batch."""
+    system, rows = FLOAT_SYSTEMS[name]
+    U = np.array(rows)
+    prop = Propagator(tableau=tab, step=0.01, steps_per_call=60)
+    expect_float = tab.is_explicit or system.dim == 1
+    assert (_float_kernel(prop, system, np.asarray(0.5), U[0])
+            is not None) == expect_float
+    batched = propagate(prop, system, 0.5, U)
+    for i in range(U.shape[0]):
+        assert np.array_equal(propagate(prop, system, 0.5, U[i]), batched[i])
+
+
+def test_float_path_not_taken_for_batches_or_array_times():
+    system = make_lorenz63()
+    prop = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
+    u = np.array([1.0, 2.0, 3.0])
+    assert _float_kernel(prop, system, np.asarray(0.0), u) is not None
+    assert _float_kernel(prop, system, np.asarray(0.0), u[None]) is None
+    assert _float_kernel(prop, system, np.zeros(1), u) is None
+    assert _float_kernel(prop, array_only(system), np.asarray(0.0), u) is None
+
+
+def test_blowup_step_index_same_on_float_path():
+    lin = make_linear(80.0)
+    prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
+    u = np.array([1.0])
+    errors = []
+    for system in (lin, array_only(lin)):
+        with pytest.raises(BlowUpError) as err:
+            propagate(prop, system, 0.0, u)
+        errors.append((err.value.step_index, err.value.chunk_index))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is not None
+
+
+def test_newton_failure_same_on_float_path():
+    # The stage equation has no real root for u = -1, h = 0.9 (see above).
+    sys1 = make_logistic()
+    prop = Propagator(tableau=IMPLICIT_EULER, step=0.9, steps_per_call=1)
+    residuals = []
+    for system in (sys1, array_only(sys1)):
+        with pytest.raises(StepFailureError) as err:
+            propagate(prop, system, 0.0, np.array([-1.0]))
+        assert err.value.residual is not None and err.value.residual > 0
+        residuals.append(err.value.residual)
+    assert residuals[0] == residuals[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zero_newton_derivative_is_a_step_failure():
+    # u' = u with h = 1: the Newton derivative 1 - h a is exactly zero, and
+    # the iteration diverges through inf and nan on both paths.
+    lin = make_linear(1.0)
+    prop = Propagator(tableau=IMPLICIT_EULER, step=1.0, steps_per_call=1)
+    messages = []
+    for system in (lin, array_only(lin)):
+        with pytest.raises(StepFailureError) as err:
+            propagate(prop, system, 0.0, np.array([1.0]))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
