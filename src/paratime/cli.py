@@ -88,6 +88,8 @@ def _cmd_solve(args) -> int:
         print("residuals=" + " ".join(f"{v:.6g}" for v in report.residual_history))
     if report.lipschitz_history:
         print("lipschitz=" + " ".join(f"{v:.6g}" for v in report.lipschitz_history))
+    # Per iteration: fine rows,coarse chunks actually propagated.
+    print("propagated=" + " ".join(f"{f},{c}" for f, c in report.propagated))
     return 0
 
 

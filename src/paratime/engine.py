@@ -7,16 +7,25 @@ the correction
 
     U_n^k = G(U_{n-1}^k) + F(U_{n-1}^{k-1}) - G(U_{n-1}^{k-1}).
 
-Coarse values of the previous iterate are cached from the previous sweep, so
-each iteration costs one fine chunk (in parallel) plus one coarse sweep.
+Within a solve, a chunk whose input row is bitwise equal to its input in the
+previous iteration is not propagated again: its fine image is copied from
+the previous fine sweep and its coarse image from the previous correction
+sweep (the coarse guess on the first iteration).  After k iterations the
+first k chunk inputs are exact and repeat bit for bit, as can a tail that
+has stopped changing in floating point, so iteration k propagates at most
+N - k + 1 fine and N - k coarse chunks.
+``RunReport.propagated`` records both counts per iteration.  A propagation
+is a pure function of its start time and input row, so the copies are
+exactly the values a recomputation would give.
+
 The output is schedule-independent: chunk propagations share no state and the
 correction order is fixed, so any worker assignment reproduces the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +72,11 @@ class TrajectoryVec:
 
 @dataclass
 class RunReport:
-    """Outcome of a solve: iteration count, histories, optional snapshots."""
+    """Outcome of a solve: iteration count, histories, optional snapshots.
+
+    ``propagated[k-1]`` is ``(fine_rows, coarse_chunks)``: the chunks that
+    iteration k actually propagated, the others being bitwise repeats.
+    """
 
     K: int
     converged: bool
@@ -72,6 +85,7 @@ class RunReport:
     lipschitz_history: List[float]
     iterates: Optional[List[TrajectoryVec]] = None
     fine_reference: Optional[TrajectoryVec] = None
+    propagated: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def _sweep(prop: Propagator, system: OdeSystem, grid: GridSpec,
@@ -104,32 +118,67 @@ def fine_serial_reference(fine: Propagator, system: OdeSystem, grid: GridSpec,
     return TrajectoryVec(_sweep(fine, system, grid, u0))
 
 
+def _changed_rows(a: Array, b: Array) -> Array:
+    """Indices of the rows of ``a`` not bitwise equal to the same row of ``b``.
+
+    Compared as ``uint64`` so that ``-0.0`` and ``0.0`` differ and equal NaNs
+    match, as a bitwise copy requires.
+    """
+    return np.flatnonzero(np.any(a.view(np.uint64) != b.view(np.uint64), axis=-1))
+
+
 def _fine_sweep_batched(fine: Propagator, system: OdeSystem, grid: GridSpec,
-                        states: Array) -> Array:
-    """Fine-propagate all N chunk inputs independently, in one batch."""
-    t_starts = np.arange(grid.N) * grid.dT
+                        states: Array, prev_states: Optional[Array] = None,
+                        prev_values: Optional[Array] = None) -> Array:
+    """Fine-propagate the N chunk inputs ``states[:-1]`` independently.
+
+    The changed rows run as one batch.  Given the previous iterate
+    ``prev_states`` and its fine values ``prev_values``, a row bitwise equal
+    to its previous input is copied from ``prev_values`` instead.
+    """
+    inputs = states[:-1]
+    if prev_states is None:
+        todo = np.arange(grid.N)
+        values = np.empty_like(inputs)
+    else:
+        todo = _changed_rows(inputs, prev_states[:-1])
+        values = prev_values.copy()
+        if todo.size == 0:
+            return values
     try:
-        return propagate(fine, system, t_starts, states[:-1])
+        values[todo] = propagate(fine, system, todo * grid.dT, inputs[todo])
     except BlowUpError as exc:
-        chunk = None if exc.chunk_index is None else exc.chunk_index + 1
+        chunk = (None if exc.chunk_index is None
+                 else int(todo[exc.chunk_index]) + 1)
         raise BlowUpError(f"fine sweep blew up in chunk {chunk}: {exc}",
                           step_index=exc.step_index, chunk_index=chunk) from exc
+    return values
 
 
 def _correction_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
-                      u0: Array, fine_values: Array,
-                      coarse_prev: Array) -> tuple[Array, Array]:
-    """Sequential corrected coarse sweep; returns new iterate and its coarse values."""
+                      u0: Array, fine_values: Array, coarse_prev: Array,
+                      prev_states: Optional[Array] = None
+                      ) -> tuple[Array, Array]:
+    """Sequential corrected coarse sweep; returns new iterate and its coarse values.
+
+    ``coarse_prev[n-1]`` is the coarse image of ``prev_states[n-1]``; given
+    ``prev_states``, it is reused for a chunk whose input is bitwise equal.
+    """
     N, d = grid.N, system.dim
     nxt = np.empty((N + 1, d))
     g_new = np.empty((N, d))
     nxt[0] = u0
     for n in range(1, N + 1):
-        try:
-            g_new[n - 1] = propagate(coarse, system, (n - 1) * grid.dT, nxt[n - 1])
-        except BlowUpError as exc:
-            raise BlowUpError(f"correction sweep blew up in chunk {n}: {exc}",
-                              step_index=exc.step_index, chunk_index=n) from exc
+        if (prev_states is not None
+                and nxt[n - 1].tobytes() == prev_states[n - 1].tobytes()):
+            g_new[n - 1] = coarse_prev[n - 1]
+        else:
+            try:
+                g_new[n - 1] = propagate(coarse, system, (n - 1) * grid.dT,
+                                         nxt[n - 1])
+            except BlowUpError as exc:
+                raise BlowUpError(f"correction sweep blew up in chunk {n}: {exc}",
+                                  step_index=exc.step_index, chunk_index=n) from exc
         # Grouping the coarse terms keeps the cancellation exact once a chunk
         # input has converged bitwise, so early chunks lock onto the fine
         # solution without rounding drift.
@@ -195,15 +244,24 @@ def parareal_solve(system: OdeSystem, grid: GridSpec, fine: Propagator,
 
     residual_history: List[float] = []
     lipschitz_history: List[float] = []
+    propagated: List[Tuple[int, int]] = []
     K = grid.N
     converged = True
     U_curr = U_prev
 
     for k in range(1, grid.N + 1):
-        fine_values = _fine_sweep_batched(fine, system, grid, U_prev.states)
+        # fine_prev holds the fine images of U^{k-2}, g_prev the coarse
+        # images of U^{k-1}; each sweep reuses those of unchanged inputs.
+        older = None if U_prev_prev is None else U_prev_prev.states
+        fine_values = _fine_sweep_batched(fine, system, grid, U_prev.states,
+                                          older, fine_prev)
         nxt, g_new = _correction_sweep(coarse, system, grid, U_prev.states[0],
-                                       fine_values, g_prev)
+                                       fine_values, g_prev, U_prev.states)
         U_curr = TrajectoryVec(nxt)
+        propagated.append((
+            grid.N if older is None
+            else _changed_rows(U_prev.states[:-1], older[:-1]).size,
+            _changed_rows(nxt[:-1], U_prev.states[:-1]).size))
 
         if crit.weight_mode == "lipschitz_dynamic":
             if fine_prev is not None:
@@ -235,4 +293,4 @@ def parareal_solve(system: OdeSystem, grid: GridSpec, fine: Propagator,
     return RunReport(K=K, converged=converged, solution=U_curr,
                      residual_history=residual_history,
                      lipschitz_history=lipschitz_history,
-                     iterates=iterates)
+                     propagated=propagated, iterates=iterates)

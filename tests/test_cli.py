@@ -20,6 +20,20 @@ def test_solve_command(tmp_path, capsys):
     assert "K=" in out and "converged=true" in out
 
 
+def test_solve_prints_propagated_counts(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    assert main(["solve", "--config", path]) == 0
+    out = capsys.readouterr().out
+    N = int(out.split(" N=")[1].split()[0])
+    K = int(out.split("K=")[1].split()[0])
+    line = next(ln for ln in out.splitlines() if ln.startswith("propagated="))
+    pairs = [tuple(map(int, p.split(",")))
+             for p in line[len("propagated="):].split()]
+    assert len(pairs) == K
+    assert pairs[0][0] == N  # the first fine sweep has nothing to reuse
+    assert all(0 <= f <= N and 0 <= c < N for f, c in pairs)
+
+
 def test_solve_validation_exit_code(tmp_path, capsys):
     path = write_small_config(tmp_path)
     assert main(["solve", "--config", path, "--check", "bogus"]) == 1

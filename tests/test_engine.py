@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from paratime import engine
 from paratime.criteria import StopCriterion
 from paratime.engine import (TrajectoryVec, coarse_sweep,
                              fine_serial_reference, parareal_iterate,
@@ -11,7 +12,8 @@ from paratime.errors import BlowUpError, ConfigError
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
                                   coarse_propagator, fine_propagator,
                                   propagate)
-from paratime.systems import make_linear, make_logistic, make_lorenz63
+from paratime.systems import (default_initial_state, make_linear,
+                              make_logistic, make_lorenz63, make_lorenz96)
 
 
 @pytest.fixture
@@ -200,6 +202,129 @@ def test_idempotence_on_solution(lorenz_setup):
     rel = np.linalg.norm(again.states - report.solution.states) / (
         1.0 + np.linalg.norm(report.solution.states))
     assert rel < 1e-12
+
+
+_L96 = make_lorenz96(D=8)
+SKIP_CASES = {
+    # eps never fires, so K = N and the locked prefix grows to N.
+    "lorenz63": (make_lorenz63(), GridSpec.make(T=2.0, N=8, xi=10, h=1e-3),
+                 RK4, StopCriterion("proximity", 1e-300, "unit"),
+                 np.array([1.0, 1.0, 1.0])),
+    # Past t ~ 30 the walk stops changing in floating point, so rows
+    # repeat outside the locked prefix too.
+    "logistic": (make_logistic(), GridSpec.make(T=48.0, N=16, xi=10, h=0.01),
+                 IMPLICIT_EULER, StopCriterion("standard", 1e-300),
+                 np.array([0.5])),
+    "lorenz96": (_L96, GridSpec.make(T=2.4, N=8, xi=10, h=1e-2), RK4,
+                 StopCriterion("standard", 1e-300),
+                 default_initial_state(_L96) + 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_solve_skips_unchanged_chunks_bit_identically(case, monkeypatch):
+    """Each stored iterate of a solve, which skips unchanged chunks, equals
+    the memo-free iteration of the previous one bitwise, and
+    ``RunReport.propagated`` counts the propagations that ran."""
+    system, grid, tableau, crit, u0 = SKIP_CASES[case]
+    fine = fine_propagator(grid, tableau)
+    coarse = coarse_propagator(grid, tableau)
+    batch_rows, single_calls = [], 0
+
+    def counting_propagate(prop, system, t0, u):
+        nonlocal single_calls
+        if u.ndim == 2:
+            batch_rows.append(u.shape[0])
+        else:
+            single_calls += 1
+        return propagate(prop, system, t0, u)
+
+    monkeypatch.setattr(engine, "propagate", counting_propagate)
+    report = parareal_solve(system, grid, fine, coarse, crit, u0,
+                            store_iterates=True)
+    monkeypatch.undo()
+    assert len(report.propagated) == report.K >= 8
+    # The fine sweeps run as batches, the coarse guess and the correction
+    # sweeps one state at a time.
+    assert sum(batch_rows) == sum(f for f, _ in report.propagated)
+    assert single_calls == grid.N + sum(c for _, c in report.propagated)
+    for k, (prev, curr) in enumerate(zip(report.iterates,
+                                         report.iterates[1:]), start=1):
+        nxt, _ = parareal_iterate(prev, fine, coarse, system, grid)
+        assert np.array_equal(nxt.states.view(np.uint64),
+                              curr.states.view(np.uint64))
+        fine_rows, coarse_chunks = report.propagated[k - 1]
+        assert fine_rows <= grid.N - (k - 1)
+        assert coarse_chunks <= grid.N - k
+    if case == "logistic":
+        # Skips beyond the k - 1 locked rows: the repeating tail.
+        assert any(fine_rows < grid.N - (k - 1)
+                   for k, (fine_rows, _) in enumerate(report.propagated, start=1))
+
+
+def test_fine_sweep_reuses_only_bitwise_equal_rows():
+    """Rows are reused only when bitwise equal: -0.0 after 0.0 is a change,
+    and F(-0.0) = -0.0 differs from F(0.0) = 0.0 in its bits."""
+    system = make_linear(1.0)
+    grid = GridSpec.make(T=4.0, N=4, xi=10, h=0.01)
+    fine = fine_propagator(grid, RK4)
+    prev_states = np.array([[1.0], [0.0], [3.0], [0.5], [9.0]])
+    states = np.array([[1.0], [-0.0], [2.0], [0.5], [7.0]])
+    prev_values = engine._fine_sweep_batched(fine, system, grid, prev_states)
+    reused = engine._fine_sweep_batched(fine, system, grid, states,
+                                        prev_states, prev_values)
+    fresh = engine._fine_sweep_batched(fine, system, grid, states)
+    assert np.signbit(fresh[1, 0])
+    assert np.array_equal(reused.view(np.uint64), fresh.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fine_sweep_blowup_names_original_chunk():
+    """A blow-up among the changed rows reports the chunk's own index and
+    step, as the sweep over every row does."""
+    system = make_linear(50.0)
+    grid = GridSpec.make(T=60.0, N=6, xi=10, h=0.1)
+    fine = fine_propagator(grid, RK4)
+    states = np.ones((grid.N + 1, 1))
+    states[4] = 1e200
+    prev_states = states.copy()
+    prev_states[[2, 4]] = 2.0  # rows 2 and 4 changed; chunk 5 blows up
+    prev_values = np.zeros((grid.N, 1))
+    indices = []
+    for prev in ((), (prev_states, prev_values)):
+        with pytest.raises(BlowUpError) as err:
+            engine._fine_sweep_batched(fine, system, grid, states, *prev)
+        indices.append((err.value.step_index, err.value.chunk_index))
+    assert indices[0] == indices[1]
+    assert indices[0][1] == 5
+
+
+def test_solve_calls_sweeps_through_module_attributes(lorenz_setup, monkeypatch):
+    """Benchmark tracing swaps these module attributes and reads the full
+    iterate passed to the fine sweep and the correction sweep's 2-tuple."""
+    system, grid, fine, coarse, u0 = lorenz_setup
+    fine_args, correction_results = [], []
+    real_fine, real_correction = engine._fine_sweep_batched, engine._correction_sweep
+
+    def recording_fine(*args, **kwargs):
+        fine_args.append(args)
+        return real_fine(*args, **kwargs)
+
+    def recording_correction(*args, **kwargs):
+        result = real_correction(*args, **kwargs)
+        correction_results.append(result)
+        return result
+
+    monkeypatch.setattr(engine, "_fine_sweep_batched", recording_fine)
+    monkeypatch.setattr(engine, "_correction_sweep", recording_correction)
+    report = parareal_solve(system, grid, fine, coarse,
+                            StopCriterion("standard", 1e-12), u0)
+    assert len(fine_args) == len(correction_results) == report.K
+    for args in fine_args:
+        assert len(args) >= 4 and args[3].shape == (grid.N + 1, system.dim)
+    for result in correction_results:
+        assert isinstance(result, tuple) and len(result) == 2
+        assert result[0].shape == (grid.N + 1, system.dim)
 
 
 def test_blowup_carries_chunk_index():

@@ -61,6 +61,20 @@ def test_lorenz96_jacobian_structure():
         assert J[i, i] != 0.0
 
 
+@pytest.mark.parametrize("D,shape", [(40, (40,)), (40, (64, 40)), (5, (3, 5))])
+def test_lorenz96_rhs_matches_component_loop(D, shape):
+    """The vectorized right-hand side is bitwise the textbook formula with
+    cyclic indices, on single states and batches."""
+    F = 8.0
+    s96 = make_lorenz96(D=D, F=F)
+    u = np.random.default_rng(D).normal(size=shape) * 4
+    expected = np.empty(shape)
+    for row, x in zip(expected.reshape(-1, D), u.reshape(-1, D)):
+        for i in range(D):
+            row[i] = (x[(i + 1) % D] - x[(i - 2) % D]) * x[(i - 1) % D] - x[i] + F
+    assert np.array_equal(s96.rhs(0.0, u), expected)
+
+
 def test_lorenz96_dimension_precondition():
     with pytest.raises(ConfigError):
         make_lorenz96(D=3)
