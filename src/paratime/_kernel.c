@@ -1,0 +1,162 @@
+/* Fixed-step Runge-Kutta chunk propagation over an (n, d) batch of states.
+ *
+ * Each routine performs the same IEEE operations in the same order as the
+ * numpy step in integrators.py, so its output is bitwise equal to it:
+ * steps outer, rows inner; stage values accumulated over j in order, with
+ * the zero coefficients left out; the products h*A_ij and h*b_i formed once
+ * in Python (Propagator.float_coeffs) and passed in.  Every system here is
+ * autonomous, so stage times are never formed.
+ *
+ * Bitwise equality needs every multiply and add rounded on its own:
+ *
+ *     cc -O2 -ffp-contract=off -fno-fast-math -shared -fPIC
+ *
+ * (_kernel.py builds it so; a fused multiply-add changes the last bit.)
+ */
+
+#include <math.h>
+#include <stdlib.h>
+
+#ifdef __FAST_MATH__
+#error "_kernel.c must be built without -ffast-math"
+#endif
+
+/* System codes; _kernel.py lists the same names in the same order. */
+enum { LOGISTIC, LINEAR, LORENZ63, LORENZ96 };
+
+/* Return codes; _kernel.py reads them. */
+enum { PT_OK, PT_NONFINITE, PT_NEWTON_FAILED, PT_NO_MEMORY };
+
+/* f = rhs(u) for one state of dimension d, as the numpy rhs evaluates it. */
+static void rhs(int sys, const double *p, int d, const double *u, double *f)
+{
+    switch (sys) {
+    case LOGISTIC:
+        f[0] = u[0] * (1.0 - u[0]);
+        break;
+    case LINEAR:
+        f[0] = p[0] * u[0];
+        break;
+    case LORENZ63: {
+        double x = u[0], y = u[1], z = u[2];
+        f[0] = p[0] * (y - x);
+        f[1] = x * (p[1] - z) - y;
+        f[2] = x * y - p[2] * z;
+        break;
+    }
+    case LORENZ96: {
+        /* (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with the cyclic indices
+         * unrolled at both ends: a % per element costs more than the
+         * arithmetic. */
+        double F = p[0];
+        int i;
+        f[0] = (u[1] - u[d - 2]) * u[d - 1] - u[0] + F;
+        f[1] = (u[2] - u[d - 1]) * u[0] - u[1] + F;
+        for (i = 2; i < d - 1; i++)
+            f[i] = (u[i + 1] - u[i - 2]) * u[i - 1] - u[i] + F;
+        f[d - 1] = (u[0] - u[d - 3]) * u[d - 2] - u[d - 1] + F;
+        break;
+    }
+    }
+}
+
+/* The one Jacobian entry of a d == 1 system at x. */
+static double jac1(int sys, const double *p, double x)
+{
+    return sys == LINEAR ? p[0] : 1.0 - 2.0 * x;
+}
+
+static int all_finite(const double *u, long size)
+{
+    long i;
+    for (i = 0; i < size; i++)
+        if (!isfinite(u[i]))
+            return 0;
+    return 1;
+}
+
+/* Advance the n rows of u (n x d, row-major, in place) by `steps` explicit
+ * RK steps with s stages.  `plan` lists, per stage, the count of its
+ * nonzero h*A_ij and their j, then the count of nonzero h*b_i and their i;
+ * `coef` holds the matching products in the same order. */
+int pt_explicit(int sys, const double *p, int d, int steps, int s,
+                const int *plan, const double *coef, int n, double *u)
+{
+    double *k = malloc(sizeof(double) * (size_t)(s + 1) * (size_t)d);
+    double *Y = k + (size_t)s * d;
+    int st, r, i, e, c;
+
+    if (k == NULL)
+        return PT_NO_MEMORY;
+    for (st = 0; st < steps; st++) {
+        for (r = 0; r < n; r++) {
+            double *ur = u + (size_t)r * d;
+            const int *pl = plan;
+            const double *cf = coef;
+            for (i = 0; i < s; i++) {
+                const double *src = ur;
+                int m = *pl++;
+                for (e = 0; e < m; e++) {
+                    const double *kj = k + (size_t)(*pl++) * d;
+                    double a = *cf++;
+                    for (c = 0; c < d; c++)
+                        Y[c] = src[c] + a * kj[c];
+                    src = Y;
+                }
+                rhs(sys, p, d, src, k + (size_t)i * d);
+            }
+            {
+                int m = *pl++;
+                for (e = 0; e < m; e++) {
+                    const double *ki = k + (size_t)(*pl++) * d;
+                    double hb = *cf++;
+                    for (c = 0; c < d; c++)
+                        ur[c] = ur[c] + hb * ki[c];
+                }
+            }
+        }
+    }
+    free(k);
+    return all_finite(u, (long)n * d) ? PT_OK : PT_NONFINITE;
+}
+
+/* Advance the n scalar states u by `steps` one-stage implicit steps, each
+ * stage solved by Newton's method as the numpy step solves it: tolerance
+ * tol * max(1, |u|) (NaN stays NaN), residual R = y - u - ha f, converged
+ * when |R| <= tolerance (so NaN never converges), update y + (-R / M) with
+ * M = 1 - ha f'(y), output u + hb f.  If a row has not converged after
+ * maxiter iterations, every row's last |R| is left in res and the call
+ * stops at that step. */
+int pt_implicit1(int sys, const double *p, int steps, double ha, double hb,
+                 double tol, int maxiter, int n, double *u, double *res)
+{
+    int st, r, it;
+
+    for (st = 0; st < steps; st++) {
+        int failed = 0;
+        for (r = 0; r < n; r++) {
+            double x = u[r], y = x, f = 0.0, R, ares = 0.0;
+            double ax = fabs(x);
+            double tol_eff = tol * ((isnan(ax) || ax > 1.0) ? ax : 1.0);
+            int converged = 0;
+            for (it = 0; it < maxiter; it++) {
+                rhs(sys, p, 1, &y, &f);
+                R = y - x - ha * f;
+                ares = fabs(R);
+                if (ares <= tol_eff) {
+                    converged = 1;
+                    break;
+                }
+                y = y + -R / (1.0 - ha * jac1(sys, p, y));
+            }
+            res[r] = ares;
+            if (converged)
+                u[r] = x + hb * f;
+            else
+                failed = 1;
+        }
+        if (failed)
+            return PT_NEWTON_FAILED;
+    }
+    return all_finite(u, n) ? PT_OK : PT_NONFINITE;
+}

@@ -1,0 +1,150 @@
+"""Build and load the compiled step kernel, ``_kernel.c``, on first use.
+
+The shared library is compiled once per source, compiler command, flags and
+machine into ``$XDG_CACHE_HOME/paratime`` (``~/.cache/paratime`` when that
+is unset), or into the temp directory when that cannot be written.  The file
+is written under a temporary name and renamed into place, so processes that
+build at the same time do not see each other's half-written files.  Without
+a working compiler, or without the source file, :func:`load` returns None
+and the integrators use the numpy step.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import platform
+import tempfile
+from functools import lru_cache, partial
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CC = "cc"
+# Every multiply and add rounded on its own, as numpy rounds them.
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+# The system codes of ``_kernel.c``, in its order.
+SYSTEMS = ("logistic", "linear", "lorenz63", "lorenz96")
+# Its return codes.
+OK, NONFINITE, NEWTON_FAILED, NO_MEMORY = range(4)
+
+_INT, _DOUBLE = ctypes.c_int, ctypes.c_double
+_DOUBLES = ctypes.POINTER(_DOUBLE)
+# Its entry points: argument types, all returning a code.
+SIGNATURES = {
+    # sys, params, d, steps, s, plan, coef, n, u
+    "pt_explicit": (_INT, _DOUBLES, _INT, _INT, _INT, ctypes.POINTER(_INT),
+                    _DOUBLES, _INT, _DOUBLES),
+    # sys, params, steps, ha, hb, tol, maxiter, n, u, res
+    "pt_implicit1": (_INT, _DOUBLES, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
+                     _INT, _DOUBLES, _DOUBLES),
+}
+
+
+def _cache_dirs() -> tuple:
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return (os.path.join(base, "paratime"),
+            os.path.join(tempfile.gettempdir(), "paratime"))
+
+
+def _compile(path: str) -> None:
+    import subprocess  # only a build needs it
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([CC, *FLAGS, "-o", tmp, str(SOURCE)],
+                              stdin=subprocess.DEVNULL, capture_output=True)
+        if done.returncode != 0:
+            raise OSError(f"{CC} exited with {done.returncode}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@lru_cache(maxsize=None)
+def load() -> ctypes.CDLL | None:
+    """The kernel library, built if needed; None if it cannot be built."""
+    import hashlib  # only the first call needs it
+
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(b"\0".join(
+        [source, CC.encode(), " ".join(FLAGS).encode(),
+         platform.system().encode(), platform.machine().encode()])).hexdigest()
+    name = f"_kernel-{key[:16]}.so"
+    for folder in _cache_dirs():
+        path = os.path.join(folder, name)
+        try:
+            if not os.path.exists(path):
+                os.makedirs(folder, exist_ok=True)
+                _compile(path)
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name, argtypes in SIGNATURES.items():
+            getattr(lib, name).argtypes = argtypes
+            getattr(lib, name).restype = _INT
+        return lib
+    return None
+
+
+def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int,
+           tol: float, maxiter: int):
+    """A function advancing a float64 ``(..., d)`` array by ``steps`` steps.
+
+    ``kernel`` is a system's ``(code, params)`` and ``coeffs`` a
+    propagator's ``float_coeffs``; ``implicit`` selects the one-stage Newton
+    step (``d == 1``).  The function returns ``(out, status, res)``: the
+    advanced copy, a return code, and for the Newton step every row's last
+    residual.  None when the library is not available.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    code, params = kernel
+    head = (SYSTEMS.index(code), (_DOUBLE * len(params))(*params))
+    stages, weights = coeffs
+    as_ptr = _DOUBLE.from_buffer
+
+    if implicit:
+        ((_, ((_, ha),)),), ((_, hb),) = coeffs
+        call = partial(lib.pt_implicit1, *head, steps, ha, hb, tol, maxiter)
+
+        def run(u):
+            out = u.copy()
+            res = np.empty(out.size)
+            status = call(out.size, ctypes.byref(as_ptr(out)),
+                          ctypes.byref(as_ptr(res)))
+            return out, status, res
+
+        return run
+
+    plan, coef = [], []
+    for _, row in stages:
+        plan.append(len(row))
+        for j, a in row:
+            plan.append(j)
+            coef.append(a)
+    plan.append(len(weights))
+    for i, b in weights:
+        plan.append(i)
+        coef.append(b)
+    plan = (_INT * len(plan))(*plan)
+    coef = (_DOUBLE * len(coef))(*coef)
+    call = partial(lib.pt_explicit, *head)
+
+    def run(u):
+        out = u.copy()
+        d = out.shape[-1]
+        status = call(d, steps, len(stages), plan, coef, out.size // d,
+                      ctypes.byref(as_ptr(out)))
+        return out, status, None
+
+    return run

@@ -14,7 +14,7 @@ import io
 import sys
 
 from . import bounds as bounds_mod
-from . import engine, experiments, metrics
+from . import engine, experiments, integrators, metrics
 from .config import SolveConfig, SweepConfig, load_sweep_config, read_config_file
 from .errors import BlowUpError, ConfigError, StepFailureError
 from .presets import PRESETS
@@ -90,6 +90,8 @@ def _cmd_solve(args) -> int:
         print("lipschitz=" + " ".join(f"{v:.6g}" for v in report.lipschitz_history))
     # Per iteration: fine rows,coarse chunks actually propagated.
     print("propagated=" + " ".join(f"{f},{c}" for f, c in report.propagated))
+    # Which step ran the batched and Lorenz-96 propagations: c or numpy.
+    print(f"kernel={integrators.kernel_path()}")
     return 0
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, asdict
 from typing import List, Optional, Tuple
 
 import numpy as np
-import yaml
 
 from . import systems as systems_mod
 from .criteria import StopCriterion
@@ -176,6 +175,8 @@ class SweepConfig:
 
 def read_config_file(path: str) -> dict:
     """The key-value document in a YAML config file ({} when empty)."""
+    import yaml  # deferred: a run that reads no config file never loads it
+
     with open(path) as fh:
         return yaml.safe_load(fh) or {}
 
@@ -197,5 +198,7 @@ def load_sweep_config(path: str, overrides: dict | None = None) -> SweepConfig:
 
 
 def dump_config(cfg, path: str) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)

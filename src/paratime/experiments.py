@@ -76,38 +76,39 @@ class _ReferenceCache:
 
     All rows of a sweep share u0, the fine tableau and h; their interface
     times are integer multiples of h.  A single uniform walk to the largest
-    horizon, snapshotting the union of every row's interface step counts,
-    yields states bit-identical to any per-row serial sweep.
+    horizon, keeping the state at the union of every row's interface step
+    counts, yields states bit-identical to any per-row serial sweep.  Only
+    the ``(M, d)`` states and their ``(M,)`` step counts are kept.
     """
 
     def __init__(self, system, fine_tableau, h, u0, grids):
-        self.system = system
-        self.tableau = fine_tableau
-        self.h = h
-        self.u0 = np.asarray(u0, dtype=float)
-        self.snapshots: Dict[int, np.ndarray] = {0: self.u0.copy()}
-        milestones = set()
+        milestones = {0}
         for grid in grids:
             steps_per_chunk = grid.L * grid.xi
             milestones.update(n * steps_per_chunk for n in range(grid.N + 1))
-        self._walk(sorted(milestones))
+        self.steps = np.array(sorted(milestones))
+        self.states = np.empty((self.steps.size, np.size(u0)))
+        state = self.states[0] = np.asarray(u0, dtype=float)
+        for i in range(1, self.steps.size):
+            start, target = self.steps[i - 1], self.steps[i]
+            prop = Propagator(tableau=fine_tableau, step=h,
+                              steps_per_call=int(target - start))
+            state = self.states[i] = propagate(prop, system, int(start) * h,
+                                               state)
 
-    def _walk(self, milestones):
-        state = self.u0.copy()
-        position = 0
-        for target in milestones:
-            if target == 0:
-                continue
-            prop = Propagator(tableau=self.tableau, step=self.h,
-                              steps_per_call=target - position)
-            state = propagate(prop, self.system, position * self.h, state)
-            position = target
-            self.snapshots[target] = np.asarray(state).copy()
+    @property
+    def snapshots(self) -> Dict[int, np.ndarray]:
+        """The walk's states by step count (read-only views)."""
+        states = self.states.view()
+        states.setflags(write=False)
+        return dict(zip(self.steps.tolist(), states))
 
     def trajectory(self, grid) -> TrajectoryVec:
-        steps_per_chunk = grid.L * grid.xi
-        wanted = [n * steps_per_chunk for n in range(grid.N + 1)]
-        return TrajectoryVec(np.stack([self.snapshots[m] for m in wanted]))
+        wanted = np.arange(grid.N + 1) * (grid.L * grid.xi)
+        rows = np.searchsorted(self.steps, wanted)
+        if not np.array_equal(self.steps.take(rows, mode="clip"), wanted):
+            raise KeyError(f"reference walk has no snapshot for grid {grid}")
+        return TrajectoryVec(self.states[rows])
 
 
 def run_sweep(sweep: SweepConfig, out_path: str) -> str:

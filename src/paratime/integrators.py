@@ -6,23 +6,41 @@ advanced in lock-step.  Elementwise arithmetic is identical whether states
 are advanced one at a time or as a batch, which is what makes the engine's
 chunk-parallel sweep schedule-independent.
 
-A single ``(d,)`` state with a scalar start time is advanced on Python
-floats instead, when the system supplies ``scalar_rhs`` and the tableau is
-explicit, or has one stage and ``d == 1`` (with ``scalar_jac``).  This is
-every serial path: the coarse guess, the corrected coarse sweep, the serial
-fine reference, the sweep's shared reference walk and the Lyapunov spin-up.
-The float step performs the same IEEE operations in the same order as the
-array step, so its output is bitwise equal; a numpy call on a ``(3,)``
-array is almost all per-call overhead.  Measured per step on a 2-core
-machine (Python 3.11, numpy 2.4), with bitwise-equal output:
+Two faster steps give the same bits as the numpy step, which stays the
+reference:
 
-    Lorenz-63 RK4                  41 us array step, 7.7 us float step
-    logistic implicit Euler        86 us array step, 2.4 us float step
-    Lorenz-96 (d=40) RK4           61 us array step, 68 us on Python lists
+* A single ``(d,)`` state with a scalar start time is advanced on Python
+  floats when the system supplies ``scalar_rhs`` and the tableau is
+  explicit, or has one stage and ``d == 1`` (with ``scalar_jac``): the
+  serial paths of logistic, linear and Lorenz-63.
+* Every other call goes to the compiled kernel (``_kernel.c``, built on
+  first use) when the system has a ``kernel`` spec and the tableau is
+  explicit, or has one stage and ``d == 1``: the batched fine sweeps,
+  ``parareal_iterate``'s coarse batch, and Lorenz-96 single states.  One
+  foreign call advances the whole ``(n, d)`` batch over the chunk.
 
-so Lorenz-96 has no scalar kernel and stays on numpy.  Batched states,
-tangent propagation and the stepwise re-run that names a blow-up step
-always use the array step.
+Both perform the same IEEE operations in the same order as the numpy step
+(see ``_kernel.c`` for the compiler flags this needs); a numpy call on a
+small array is almost all per-call overhead.  Measured per step from
+``propagate`` on a 2-core machine (Python 3.11, numpy 2.4.6, gcc 12), every
+output bitwise equal to the numpy step's:
+
+    case                    rows    numpy     float    compiled
+    Lorenz-63 RK4              1    76 us     11 us     0.06 us
+    Lorenz-63 RK4            128   109 us        -       6.7 us
+    Lorenz-96 (d=40) RK4       1    50 us        -      0.44 us
+    Lorenz-96 (d=40) RK4      64   189 us        -        36 us
+    logistic implicit Euler    1   121 us     3.6 us    0.04 us
+    logistic implicit Euler  128   113 us        -       2.4 us
+
+A compiled call costs about 6.5 us on top of its steps.  The one-row
+compiled figures of Lorenz-63 and logistic were taken with the float kernels
+removed; ``propagate`` takes the float step there.
+
+Tangent propagation, multi-stage implicit tableaux, implicit steps with
+``d > 1`` and the stepwise re-run that names a blow-up step always use the
+numpy step, and so does everything when no C compiler is available
+(:func:`kernel_path` says which).
 
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
@@ -37,6 +55,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _kernel
 from .errors import BlowUpError, ConfigError, StepFailureError
 from .systems import OdeSystem
 
@@ -176,6 +195,9 @@ class Propagator:
     # Coefficients of the float step: per stage (c_i h, nonzero (j, h A_ij)),
     # then the nonzero (i, h b_i), products formed as the array step forms them.
     float_coeffs: tuple = field(init=False, repr=False, compare=False)
+    # Compiled-kernel calls for this propagator, keyed by ``system.kernel``.
+    _compiled: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.step <= 0.0:
@@ -234,6 +256,12 @@ def _step_explicit(tableau, system, t, u, h, tangent):
     return u_next, t_next
 
 
+def _stage_failure(residual, maxiter) -> StepFailureError:
+    return StepFailureError(
+        f"implicit stage solve did not converge in {maxiter} iterations "
+        f"(max residual {residual:.3e})", residual=float(residual))
+
+
 def _assemble_newton_matrix(tableau, system, t, Y, h):
     """I - h (A (x) J) with J evaluated per stage at the current stage values."""
     A, c = tableau.A, tableau.c
@@ -290,9 +318,7 @@ def _step_implicit_single_stage(tableau, system, t, u, h, tangent,
         else:
             y = np.where(converged[..., np.newaxis], y, y + delta)
     else:
-        raise StepFailureError(
-            f"implicit stage solve did not converge in {maxiter} iterations "
-            f"(max residual {np.max(res):.3e})", residual=float(np.max(res)))
+        raise _stage_failure(np.max(res), maxiter)
     u_next = u + (h * b0) * f
     if tangent is None:
         return u_next, None
@@ -341,9 +367,7 @@ def _step_implicit(tableau, system, t, u, h, tangent,
             mask = (~converged)[..., np.newaxis, np.newaxis]
             Y = np.where(mask, Y + delta, Y)
     else:
-        raise StepFailureError(
-            f"implicit stage solve did not converge in {maxiter} iterations "
-            f"(max residual {np.max(res):.3e})", residual=float(np.max(res)))
+        raise _stage_failure(np.max(res), maxiter)
 
     u_next = u + h * np.einsum("i,...id->...d", b, F)
     if tangent is None:
@@ -447,9 +471,7 @@ def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
             delta = float(np.float64(-R) / M)
         y = y + delta
     else:
-        raise StepFailureError(
-            f"implicit stage solve did not converge in {maxiter} iterations "
-            f"(max residual {res:.3e})", residual=res)
+        raise _stage_failure(res, maxiter)
     return [u + hb * f]
 
 
@@ -467,32 +489,66 @@ def _float_kernel(prop: Propagator, system: OdeSystem, t0, u):
     return None
 
 
+def _compiled_kernel(prop: Propagator, system: OdeSystem, u):
+    """The compiled chunk call for this input, or None when it cannot run."""
+    tableau = prop.tableau
+    if (system.kernel is None or not isinstance(u, np.ndarray)
+            or u.dtype != np.float64 or u.ndim == 0 or u.size == 0
+            or u.shape[-1] != system.dim
+            or not (tableau.is_explicit
+                    or (tableau.s == 1 and system.dim == 1))):
+        return None
+    try:
+        return prop._compiled[system.kernel]
+    except KeyError:
+        run = prop._compiled[system.kernel] = _kernel.runner(
+            system.kernel, prop.float_coeffs, not tableau.is_explicit,
+            prop.steps_per_call, NEWTON_TOL, NEWTON_MAXITER)
+        return run
+
+
+def kernel_path() -> str:
+    """``"c"`` when the compiled kernel is available, else ``"numpy"``."""
+    return "numpy" if _kernel.load() is None else "c"
+
+
 def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     """Apply the propagator over one chunk: steps_per_call fixed RK steps.
 
     ``u`` may carry leading batch axes; ``t0`` may then be an array of
     matching shape (per-chunk start times).  A single state takes the float
-    step where one exists (see the module docstring); its output is bitwise
-    equal to the array step's.
+    step where one exists, and other inputs the compiled kernel where it
+    covers the system and tableau (see the module docstring); either output
+    is bitwise equal to the array step's.
     """
     t0 = np.asarray(t0, dtype=float)
     step = prop.step
     kernel = _float_kernel(prop, system, t0, u)
+    compiled = None if kernel is not None else _compiled_kernel(prop, system, u)
     if kernel is not None:
         t_start = float(t0)
         y = u.tolist()
         for i in range(prop.steps_per_call):
             y = kernel(t_start + i * step, y)
         out = np.array(y)
+        finite = np.isfinite(out).all()
+    elif compiled is not None:
+        out, status, res = compiled(u)
+        if status == _kernel.NEWTON_FAILED:
+            raise _stage_failure(np.max(res), NEWTON_MAXITER)
+        if status == _kernel.NO_MEMORY:
+            raise MemoryError("compiled kernel: out of memory")
+        finite = status == _kernel.OK
     else:
         out = u
         for i in range(prop.steps_per_call):
             t = t0 + i * step
             out = rk_step(prop.tableau, system, t, out, step)
+        finite = np.isfinite(out).all()
     # Finite check once per chunk; polynomial vector fields keep non-finite
     # values non-finite, so a blow-up always surfaces at the chunk end.  The
     # failed chunk is re-run stepwise only to report the failing step.
-    if not np.isfinite(out).all():
+    if not finite:
         _locate_blowup(prop, system, t0, u)
     return out
 

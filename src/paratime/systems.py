@@ -5,11 +5,18 @@ Jacobians are vectorized over leading axes: ``rhs(t, u)`` accepts ``u``
 of shape ``(..., d)`` and returns the same shape, ``jac(t, u)`` returns
 ``(..., d, d)``.  All built-in systems are autonomous and ignore ``t``.
 
-Logistic, linear and Lorenz-63 also carry Python-float kernels, which the
-integrators use to advance a single state (see ``integrators``):
-``scalar_rhs(t, u)`` takes a sequence of ``d`` floats and returns a tuple,
-and for ``d == 1`` ``scalar_jac(t, u)`` returns the one Jacobian entry as a
-float.  Each evaluates the same expressions in the same order as its array
+The integrators have two faster steps (see ``integrators``), and each
+system says which of them it supports:
+
+* Logistic, linear and Lorenz-63 carry Python-float kernels, used to advance
+  a single state: ``scalar_rhs(t, u)`` takes a sequence of ``d`` floats and
+  returns a tuple, and for ``d == 1`` ``scalar_jac(t, u)`` returns the one
+  Jacobian entry as a float.
+* All four built-in systems carry ``kernel = (code, params)``, which names
+  the right-hand side of the compiled kernel (``_kernel.c``) and its
+  parameters; it advances batches, and Lorenz-96 single states.
+
+Each evaluates the same expressions in the same order as its array
 counterpart, so the results are bitwise equal.
 """
 
@@ -40,10 +47,12 @@ class OdeSystem:
     rhs: Callable[[float, Array], Array] = None
     jac: Callable[[float, Array], Array] = None
     known_lambda: Optional[float] = None
-    # Optional float kernels; a system built with ``dataclasses.replace``
-    # keeps them, so replace them too when the dynamics change.
+    # Optional float kernels and compiled-kernel spec ``(code, params)``; a
+    # system built with ``dataclasses.replace`` keeps them, so replace them
+    # too when the dynamics change.
     scalar_rhs: Optional[Callable[[float, Sequence[float]], tuple]] = None
     scalar_jac: Optional[Callable[[float, Sequence[float]], float]] = None
+    kernel: Optional[tuple] = None
 
 
 def make_logistic() -> OdeSystem:
@@ -65,7 +74,7 @@ def make_logistic() -> OdeSystem:
 
     return OdeSystem(name="logistic", dim=1, params={}, rhs=rhs, jac=jac,
                      known_lambda=-1.0, scalar_rhs=scalar_rhs,
-                     scalar_jac=scalar_jac)
+                     scalar_jac=scalar_jac, kernel=("logistic", ()))
 
 
 def make_linear(a: float = 1.0) -> OdeSystem:
@@ -88,7 +97,7 @@ def make_linear(a: float = 1.0) -> OdeSystem:
 
     return OdeSystem(name="linear", dim=1, params={"a": a}, rhs=rhs, jac=jac,
                      known_lambda=a, scalar_rhs=scalar_rhs,
-                     scalar_jac=scalar_jac)
+                     scalar_jac=scalar_jac, kernel=("linear", (a,)))
 
 
 def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
@@ -123,7 +132,8 @@ def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
     return OdeSystem(name="lorenz63", dim=3,
                      params={"sigma": sigma, "rho": rho, "b": b},
                      rhs=rhs, jac=jac, known_lambda=0.9056,
-                     scalar_rhs=scalar_rhs)
+                     scalar_rhs=scalar_rhs,
+                     kernel=("lorenz63", (sigma, rho, b)))
 
 
 def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
@@ -155,11 +165,12 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
         return out
 
     # No float kernels: at d = 40 a step on Python lists is slower than the
-    # array step.
+    # array step; single states take the compiled kernel.
     # known_lambda: literature value for the standard D=40, F=8 setup.
     lam = 1.67 if (D == 40 and F == 8.0) else None
     return OdeSystem(name="lorenz96", dim=D, params={"D": D, "F": F},
-                     rhs=rhs, jac=jac, known_lambda=lam)
+                     rhs=rhs, jac=jac, known_lambda=lam,
+                     kernel=("lorenz96", (F,)))
 
 
 _BUILDERS = {

@@ -4,6 +4,7 @@ import pytest
 from paratime.cli import main
 from paratime.config import dump_config
 from paratime.experiments import read_sweep_csv
+from paratime.integrators import kernel_path
 
 
 def write_small_config(tmp_path):
@@ -32,6 +33,14 @@ def test_solve_prints_propagated_counts(tmp_path, capsys):
     assert len(pairs) == K
     assert pairs[0][0] == N  # the first fine sweep has nothing to reuse
     assert all(0 <= f <= N and 0 <= c < N for f, c in pairs)
+
+
+def test_solve_prints_kernel_path(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    assert main(["solve", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"kernel={kernel_path()}" in lines
+    assert kernel_path() in ("c", "numpy")
 
 
 def test_solve_validation_exit_code(tmp_path, capsys):

@@ -343,7 +343,8 @@ def test_blowup_indices_same_without_float_kernels():
     """Blow-ups on the serial float path name the same step and chunk as the
     numpy path: in the solve (its fine sweep) and in the serial reference."""
     system = make_linear(50.0)
-    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
+                                     kernel=None)
     grid = GridSpec.make(T=40.0, N=4, xi=10, h=0.1)
     fine = fine_propagator(grid, RK4)
     coarse = coarse_propagator(grid, RK4)

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,17 @@ def test_config_yaml_round_trip(tmp_path):
     path2 = tmp_path / "run2.yaml"
     dump_config(loaded, str(path2))
     assert load_solve_config(str(path2)).to_dict() == cfg.to_dict()
+
+
+def test_import_leaves_yaml_unloaded():
+    """Only reading or writing a config file loads the YAML parser."""
+    import paratime
+    src = os.path.dirname(os.path.dirname(paratime.__file__))
+    code = "import sys, paratime, paratime.cli; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_yaml_round_trip(tmp_path):
@@ -201,7 +214,8 @@ def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
     u0 = np.array(u0)
     grids = [GridSpec.make(T=T, N=N, xi=10, h=1e-3)
              for T, N in ((0.8, 4), (1.6, 4), (1.6, 16))]
-    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
+                                     kernel=None)
     cache = _ReferenceCache(system, tab, 1e-3, u0, grids)
     array_cache = _ReferenceCache(array_only, tab, 1e-3, u0, grids)
     for step in cache.snapshots:

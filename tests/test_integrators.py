@@ -1,17 +1,24 @@
 import dataclasses
+import os
+import shutil
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from paratime import _kernel
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4, TABLEAUX,
                                   ButcherTableau, GridSpec, Propagator,
-                                  _float_kernel, coarse_propagator,
-                                  fine_propagator, get_tableau, propagate,
+                                  _compiled_kernel, _float_kernel,
+                                  coarse_propagator, fine_propagator,
+                                  get_tableau, kernel_path, propagate,
                                   propagate_with_jacobian,
                                   propagate_with_tangent, rk_step,
                                   stability_function)
-from paratime.systems import make_linear, make_logistic, make_lorenz63
+from paratime.systems import (make_linear, make_logistic, make_lorenz63,
+                              make_lorenz96)
 
 
 def test_tableau_registry_and_consistency():
@@ -210,8 +217,9 @@ def test_grid_propagator_wiring():
 
 
 def array_only(system):
-    """The same system without float kernels: propagate uses numpy only."""
-    return dataclasses.replace(system, scalar_rhs=None, scalar_jac=None)
+    """The same system without float or compiled kernels: numpy only."""
+    return dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
+                               kernel=None)
 
 
 # Systems with float kernels, each with a batch of in-range states.
@@ -287,3 +295,177 @@ def test_zero_newton_derivative_is_a_step_failure():
             propagate(prop, system, 0.0, np.array([1.0]))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+# -- compiled kernel ---------------------------------------------------------
+
+needs_kernel = pytest.mark.skipif(kernel_path() != "c",
+                                  reason="compiled kernel not available")
+
+
+@pytest.fixture
+def fresh_kernel_load():
+    """Forget the loaded library before and after the test."""
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
+
+
+def numpy_walk(prop, system, t0, u):
+    """The chunk on the numpy step alone, one rk_step at a time."""
+    system = array_only(system)
+    for i in range(prop.steps_per_call):
+        u = rk_step(prop.tableau, system, t0 + i * prop.step, u, prop.step)
+    return u
+
+
+# Every system with a kernel spec, with a generator of in-range states.
+KERNEL_SYSTEMS = {
+    "logistic": (make_logistic(), lambda rng, n: rng.uniform(0.0, 1.3, (n, 1))),
+    "linear": (make_linear(-0.8), lambda rng, n: rng.normal(size=(n, 1))),
+    "lorenz63": (make_lorenz63(),
+                 lambda rng, n: rng.normal(size=(n, 3)) * 8 + [0.0, 0.0, 20.0]),
+    "lorenz96-D40": (make_lorenz96(40),
+                     lambda rng, n: 8.0 + rng.normal(size=(n, 40))),
+    "lorenz96-D5": (make_lorenz96(5),
+                    lambda rng, n: 8.0 + rng.normal(size=(n, 5))),
+}
+KERNEL_CASES = [(name, tab) for name, (system, _) in KERNEL_SYSTEMS.items()
+                for tab in TABLEAUX.values()
+                if tab.is_explicit or (tab.s == 1 and system.dim == 1)]
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (64,)],
+                         ids=["d", "1xd", "7xd", "64xd"])
+@pytest.mark.parametrize("name,tab", KERNEL_CASES,
+                         ids=[f"{n}-{t.name}" for n, t in KERNEL_CASES])
+def test_kernel_bitwise_equal_to_rk_step(name, tab, shape):
+    system, states = KERNEL_SYSTEMS[name]
+    U = states(np.random.default_rng(3), shape[0] if shape else 1)
+    U = U.reshape(shape + (system.dim,))
+    prop = Propagator(tableau=tab, step=0.01, steps_per_call=30)
+    run = _compiled_kernel(prop, system, U)
+    assert run is not None
+    out, status, _ = run(U)
+    assert status == _kernel.OK
+    expected = numpy_walk(prop, system, 0.25, U)
+    assert out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(propagate(prop, system, 0.25, U), expected)
+
+
+def test_kernel_path_choice():
+    """Single states of float-kernel systems take the float step; batches,
+    Lorenz-96 states and one-stage implicit steps with d == 1 the compiled
+    kernel; d > 1 implicit, multi-stage implicit, float32 input and systems
+    without a kernel spec stay on numpy."""
+    l63, l96, logistic = make_lorenz63(), make_lorenz96(), make_logistic()
+    rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
+    implicit = Propagator(tableau=IMPLICIT_EULER, step=0.01, steps_per_call=3)
+    t0 = np.asarray(0.0)
+    u3 = np.array([1.0, 2.0, 3.0])
+    assert _float_kernel(rk4, l63, t0, u3) is not None
+    assert _float_kernel(rk4, l96, t0, np.full(40, 8.0)) is None
+    compiled = kernel_path() == "c"
+    for prop, system, u in ((rk4, l63, u3[None]), (rk4, l96, np.full(40, 8.0)),
+                            (implicit, logistic, np.array([[0.5], [0.2]]))):
+        assert (_compiled_kernel(prop, system, u) is not None) == compiled
+    assert _compiled_kernel(implicit, l63, u3[None]) is None
+    assert _compiled_kernel(rk4, array_only(l63), u3[None]) is None
+    assert _compiled_kernel(rk4, l63, u3[None].astype(np.float32)) is None
+    two_stage = ButcherTableau(name="midpoint_implicit", A=[[0.25, 0.0],
+                                                            [0.5, 0.25]],
+                               b=[0.5, 0.5], c=[0.25, 0.75], order=2)
+    assert _compiled_kernel(Propagator(tableau=two_stage, step=0.01,
+                                       steps_per_call=1),
+                            logistic, np.array([[0.5]])) is None
+
+
+def test_kernel_loads_where_a_compiler_exists():
+    """The kernel tests skip without the library; this one does not."""
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on this machine")
+    assert kernel_path() == "c"
+
+
+def test_kernel_builds_into_cache_dir(tmp_path, monkeypatch, fresh_kernel_load):
+    if shutil.which(_kernel.CC) is None:
+        pytest.skip(f"no {_kernel.CC} on this machine")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert kernel_path() == "c"
+    built = os.listdir(tmp_path / "paratime")
+    assert len(built) == 1 and built[0].endswith(".so")  # no temp file left
+    assert not list(_kernel.SOURCE.parent.glob("*.so"))  # none in the package
+
+
+def test_failed_build_falls_back_to_numpy(tmp_path, monkeypatch,
+                                          fresh_kernel_load):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the fallback
+    monkeypatch.setattr(_kernel, "CC", str(tmp_path / "no-such-cc"))
+    assert kernel_path() == "numpy"
+    system, states = KERNEL_SYSTEMS["lorenz63"]
+    U = states(np.random.default_rng(4), 7)
+    prop = Propagator(tableau=RK4, step=0.01, steps_per_call=30)
+    assert _compiled_kernel(prop, system, U) is None
+    assert np.array_equal(propagate(prop, system, 0.0, U),
+                          numpy_walk(prop, system, 0.0, U))
+
+
+@needs_kernel
+def test_kernel_rounds_multiply_and_add_separately():
+    """Canary for a fused multiply-add: one Euler step on u' = a u is
+    u + h (a u); fused, its last bit differs on some of these rows."""
+    a, h = -0.8, 0.1
+    U = np.random.default_rng(5).uniform(0.1, 10.0, (64, 1))
+    prop = Propagator(tableau=EULER, step=h, steps_per_call=1)
+    out, status, _ = _compiled_kernel(prop, make_linear(a), U)(U)
+    unfused = U + (h * 1.0) * (a * U)
+    fused = np.array([[float(Fraction(h) * Fraction(float(a * u)) + Fraction(u))]
+                      for (u,) in U])
+    assert np.any(fused != unfused)  # the rows can tell the two apart
+    assert status == _kernel.OK
+    assert np.array_equal(out, unfused)
+
+
+def test_kernel_blowup_step_and_chunk_parity():
+    lin = make_linear(80.0)
+    prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
+    U = np.array([[1e-300], [1.0], [2.0]])
+    errors = []
+    for system in (lin, array_only(lin)):
+        with pytest.raises(BlowUpError) as err:
+            propagate(prop, system, 0.0, U)
+        errors.append((err.value.step_index, err.value.chunk_index,
+                       str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is not None and errors[0][1] == 1
+
+
+def test_kernel_newton_failure_parity():
+    # The row u = -1 has no real stage solution at h = 0.9 (see above).
+    sys1 = make_logistic()
+    prop = Propagator(tableau=IMPLICIT_EULER, step=0.9, steps_per_call=1)
+    U = np.array([[0.5], [-1.0], [0.2]])
+    failures = []
+    for system in (sys1, array_only(sys1)):
+        with pytest.raises(StepFailureError) as err:
+            propagate(prop, system, 0.0, U)
+        failures.append((err.value.residual, str(err.value)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_zero_newton_derivative_parity():
+    # u' = u with h = 1: the Newton derivative 1 - h a is exactly zero.
+    lin = make_linear(1.0)
+    prop = Propagator(tableau=IMPLICIT_EULER, step=1.0, steps_per_call=1)
+    U = np.array([[1.0], [0.5]])
+    failures = []
+    for system in (lin, array_only(lin)):
+        with pytest.raises(StepFailureError) as err:
+            propagate(prop, system, 0.0, U)
+        failures.append(str(err.value))
+    assert failures[0] == failures[1]
