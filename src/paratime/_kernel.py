@@ -28,15 +28,15 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 # The system codes of ``_kernel.c``, in its order.
 SYSTEMS = ("logistic", "linear", "lorenz63", "lorenz96")
 # Its return codes.
-OK, NONFINITE, NEWTON_FAILED, NO_MEMORY = range(4)
+OK, NONFINITE, NEWTON_FAILED, NO_MEMORY, TANGENT_NONFINITE = range(5)
 
 _INT, _DOUBLE = ctypes.c_int, ctypes.c_double
 _DOUBLES = ctypes.POINTER(_DOUBLE)
 # Its entry points: argument types, all returning a code.
 SIGNATURES = {
-    # sys, params, d, steps, s, plan, coef, n, u
+    # sys, params, d, steps, s, plan, coef, n, u, m, tangent
     "pt_explicit": (_INT, _DOUBLES, _INT, _INT, _INT, ctypes.POINTER(_INT),
-                    _DOUBLES, _INT, _DOUBLES),
+                    _DOUBLES, _INT, _DOUBLES, _INT, _DOUBLES),
     # sys, params, steps, ha, hb, tol, maxiter, n, u, res
     "pt_implicit1": (_INT, _DOUBLES, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
                      _INT, _DOUBLES, _DOUBLES),
@@ -103,7 +103,9 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int,
     propagator's ``float_coeffs``; ``implicit`` selects the one-stage Newton
     step (``d == 1``).  The function returns ``(out, status, res)``: the
     advanced copy, a return code, and for the Newton step every row's last
-    residual.  None when the library is not available.
+    residual.  The explicit step also takes an optional C-contiguous float64
+    tangent block of shape ``(..., d, m)``, which it advances in place.
+    None when the library is not available.
     """
     lib = load()
     if lib is None:
@@ -140,11 +142,14 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int,
     coef = (_DOUBLE * len(coef))(*coef)
     call = partial(lib.pt_explicit, *head)
 
-    def run(u):
+    def run(u, tangent=None):
         out = u.copy()
         d = out.shape[-1]
+        m, g = 0, None
+        if tangent is not None:
+            m, g = tangent.shape[-1], ctypes.byref(as_ptr(tangent))
         status = call(d, steps, len(stages), plan, coef, out.size // d,
-                      ctypes.byref(as_ptr(out)))
+                      ctypes.byref(as_ptr(out)), m, g)
         return out, status, None
 
     return run

@@ -87,7 +87,9 @@ def estimate_mu_nu(system: OdeSystem, times: Sequence[float],
     states = np.asarray(states, dtype=float)
     if times.size < 2 or states.shape[0] != times.size:
         raise ConfigError("estimate_mu_nu needs >= 2 sampled states with times")
-    jacs = [system.jac(t, u) for t, u in zip(times, states)]
+    # One batched call; each sample's time broadcasts against its (d, d)
+    # block, as a scalar time does against one Jacobian.
+    jacs = system.jac(times[:, np.newaxis, np.newaxis], states)
     mu = max(spectral_norm(J) for J in jacs)
     nu = 0.0
     for i in range(len(jacs) - 1):

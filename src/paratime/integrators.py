@@ -37,15 +37,28 @@ A compiled call costs about 6.5 us on top of its steps.  The one-row
 compiled figures of Lorenz-63 and logistic were taken with the float kernels
 removed; ``propagate`` takes the float step there.
 
-Tangent propagation, multi-stage implicit tableaux, implicit steps with
-``d > 1`` and the stepwise re-run that names a blow-up step always use the
-numpy step, and so does everything when no C compiler is available
-(:func:`kernel_path` says which).
-
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
-is differentiated), so ``m = d`` with an identity seed yields the exact
-Jacobian of the numerical chunk map.
+is differentiated, its slope taken by the system's ``jvp``), so ``m = d``
+with an identity seed yields the exact Jacobian of the numerical chunk map.
+:func:`propagate_with_tangent` runs them in the same compiled call as the
+state when the tableau is explicit and the block is float64 with shape
+``u.shape + (m,)``, bitwise equal to the numpy step.  Per RK4 step from
+:func:`propagate_with_tangent`, same machine:
+
+    tangent block            steps/call     numpy    compiled
+    Lorenz-96 (65, 40, 40)       300       6.8 ms      1.2 ms
+    Lorenz-63 (3, 1)             100       115 us      0.2 us
+
+On numpy the structured ``jvp`` is slower than the dense ``jac @ G`` it
+replaced (3.4 ms and 100 us): at ``m = d = 40`` its gathers move more memory
+than one batched matrix product.  The compiled kernel forms each entry from
+its four neighbours in one pass.
+
+Tangents on implicit tableaux, broadcast tangent blocks, multi-stage
+implicit tableaux, implicit steps with ``d > 1`` and the stepwise re-run
+that names a blow-up step use the numpy step, and so does everything when
+no C compiler is available (:func:`kernel_path` says which).
 """
 
 from __future__ import annotations
@@ -242,7 +255,7 @@ def _step_explicit(tableau, system, t, u, h, tangent):
             for j in range(i):
                 if A[i, j] != 0.0:
                     G = G + (h * A[i, j]) * kt[j]
-            kt[i] = system.jac(ti, Y) @ G
+            kt[i] = system.jvp(ti, Y, G)
     u_next = u
     for i in range(s):
         if b[i] != 0.0:
@@ -558,19 +571,36 @@ def propagate_with_tangent(prop: Propagator, system: OdeSystem, t0, u: Array,
     """Chunk propagation carrying a tangent block alongside the state.
 
     The state output is bit-identical to :func:`propagate` on the same input:
-    the state arithmetic is shared, the tangent recursion only reads it.
+    the state arithmetic is shared, the tangent recursion only reads it.  An
+    explicit tableau with a float64 block of shape ``u.shape + (m,)`` takes
+    the compiled kernel where it covers the system, with the same bits as
+    the numpy step.
     """
     t0 = np.asarray(t0, dtype=float)
-    u_in = u
-    for i in range(prop.steps_per_call):
-        t = t0 + i * prop.step
-        u, tangent = rk_step_with_tangent(prop.tableau, system, t, u, tangent,
-                                          prop.step)
-    if not np.isfinite(u).all():
-        _locate_blowup(prop, system, t0, u_in)
-    if not np.isfinite(tangent).all():
+    run = (_compiled_kernel(prop, system, u) if prop.tableau.is_explicit
+           else None)
+    if (run is not None and isinstance(tangent, np.ndarray)
+            and tangent.dtype == np.float64
+            and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0):
+        tangent = np.array(tangent, order="C")
+        out, status, _ = run(u, tangent)
+        if status == _kernel.NO_MEMORY:
+            raise MemoryError("compiled kernel: out of memory")
+        finite = status != _kernel.NONFINITE
+        tangent_finite = status != _kernel.TANGENT_NONFINITE
+    else:
+        out = u
+        for i in range(prop.steps_per_call):
+            t = t0 + i * prop.step
+            out, tangent = rk_step_with_tangent(prop.tableau, system, t, out,
+                                                tangent, prop.step)
+        finite = np.isfinite(out).all()
+        tangent_finite = np.isfinite(tangent).all()
+    if not finite:
+        _locate_blowup(prop, system, t0, u)
+    if not tangent_finite:
         raise BlowUpError("tangent block became non-finite")
-    return u, tangent
+    return out, tangent
 
 
 def propagate_with_jacobian(prop: Propagator, system: OdeSystem, t0,

@@ -5,6 +5,13 @@ Jacobians are vectorized over leading axes: ``rhs(t, u)`` accepts ``u``
 of shape ``(..., d)`` and returns the same shape, ``jac(t, u)`` returns
 ``(..., d, d)``.  All built-in systems are autonomous and ignore ``t``.
 
+``jvp(t, u, G)`` applies the derivative of ``rhs`` at ``u`` to a tangent
+block ``G`` of shape ``(..., d, m)`` without forming the Jacobian; tangent
+steps use it.  Each built-in one differentiates its ``rhs`` term by term
+(Lorenz-96 touches 4 entries per row where the dense product touches
+``d``), so it agrees with ``jac(t, u) @ G`` to rounding, bitwise for
+``d == 1``.  A system built without one gets ``jac(t, u) @ G``.
+
 The integrators have two faster steps (see ``integrators``), and each
 system says which of them it supports:
 
@@ -13,8 +20,9 @@ system says which of them it supports:
   returns a tuple, and for ``d == 1`` ``scalar_jac(t, u)`` returns the one
   Jacobian entry as a float.
 * All four built-in systems carry ``kernel = (code, params)``, which names
-  the right-hand side of the compiled kernel (``_kernel.c``) and its
-  parameters; it advances batches, and Lorenz-96 single states.
+  the right-hand side and ``jvp`` of the compiled kernel (``_kernel.c``)
+  and their parameters; it advances batches, Lorenz-96 single states and
+  tangent blocks.
 
 Each evaluates the same expressions in the same order as its array
 counterpart, so the results are bitwise equal.
@@ -23,6 +31,7 @@ counterpart, so the results are bitwise equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +39,10 @@ import numpy as np
 from .errors import ConfigError
 
 Array = np.ndarray
+
+
+def _dense_jvp(jac, t, u, G):
+    return jac(t, u) @ G
 
 
 @dataclass(frozen=True)
@@ -47,12 +60,18 @@ class OdeSystem:
     rhs: Callable[[float, Array], Array] = None
     jac: Callable[[float, Array], Array] = None
     known_lambda: Optional[float] = None
-    # Optional float kernels and compiled-kernel spec ``(code, params)``; a
-    # system built with ``dataclasses.replace`` keeps them, so replace them
-    # too when the dynamics change.
+    # Optional tangent product, float kernels and compiled-kernel spec
+    # ``(code, params)``; a system built with ``dataclasses.replace`` keeps
+    # them, so replace them too when the dynamics change.  The default
+    # ``jvp``, ``jac(t, u) @ G``, follows the new ``jac`` by itself.
+    jvp: Optional[Callable[[float, Array, Array], Array]] = None
     scalar_rhs: Optional[Callable[[float, Sequence[float]], tuple]] = None
     scalar_jac: Optional[Callable[[float, Sequence[float]], float]] = None
     kernel: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.jvp is None or getattr(self.jvp, "func", None) is _dense_jvp:
+            object.__setattr__(self, "jvp", partial(_dense_jvp, self.jac))
 
 
 def make_logistic() -> OdeSystem:
@@ -64,6 +83,9 @@ def make_logistic() -> OdeSystem:
     def jac(t, u):
         return (1.0 - 2.0 * u)[..., np.newaxis]
 
+    def jvp(t, u, G):
+        return (1.0 - 2.0 * u)[..., np.newaxis] * G
+
     def scalar_rhs(t, u):
         (x,) = u
         return (x * (1.0 - x),)
@@ -73,7 +95,7 @@ def make_logistic() -> OdeSystem:
         return 1.0 - 2.0 * x
 
     return OdeSystem(name="logistic", dim=1, params={}, rhs=rhs, jac=jac,
-                     known_lambda=-1.0, scalar_rhs=scalar_rhs,
+                     known_lambda=-1.0, jvp=jvp, scalar_rhs=scalar_rhs,
                      scalar_jac=scalar_jac, kernel=("logistic", ()))
 
 
@@ -88,6 +110,9 @@ def make_linear(a: float = 1.0) -> OdeSystem:
         out[...] = a
         return out
 
+    def jvp(t, u, G):
+        return a * G
+
     def scalar_rhs(t, u):
         (x,) = u
         return (a * x,)
@@ -96,7 +121,7 @@ def make_linear(a: float = 1.0) -> OdeSystem:
         return float(a)
 
     return OdeSystem(name="linear", dim=1, params={"a": a}, rhs=rhs, jac=jac,
-                     known_lambda=a, scalar_rhs=scalar_rhs,
+                     known_lambda=a, jvp=jvp, scalar_rhs=scalar_rhs,
                      scalar_jac=scalar_jac, kernel=("linear", (a,)))
 
 
@@ -125,13 +150,22 @@ def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
         out[..., 2, 2] = -b
         return out
 
+    def jvp(t, u, G):
+        x, y, z = u[..., 0, None], u[..., 1, None], u[..., 2, None]
+        gx, gy, gz = G[..., 0, :], G[..., 1, :], G[..., 2, :]
+        out = np.empty(np.broadcast_shapes(u.shape[:-1] + (3, 1), G.shape))
+        out[..., 0, :] = sigma * (gy - gx)
+        out[..., 1, :] = gx * (rho - z) - x * gz - gy
+        out[..., 2, :] = gx * y + x * gy - b * gz
+        return out
+
     def scalar_rhs(t, u):
         x, y, z = u
         return (sigma * (y - x), x * (rho - z) - y, x * y - b * z)
 
     return OdeSystem(name="lorenz63", dim=3,
                      params={"sigma": sigma, "rho": rho, "b": b},
-                     rhs=rhs, jac=jac, known_lambda=0.9056,
+                     rhs=rhs, jac=jac, jvp=jvp, known_lambda=0.9056,
                      scalar_rhs=scalar_rhs,
                      kernel=("lorenz63", (sigma, rho, b)))
 
@@ -164,12 +198,21 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
         out[..., idx, idx] += -1.0
         return out
 
+    # The rhs differentiated term by term: 4 entries of G per row instead of
+    # a dense d x d product.
+    def jvp(t, u, G):
+        u = u[..., np.newaxis]
+        return ((G.take(ip1, axis=-2) - G.take(im2, axis=-2))
+                * u.take(im1, axis=-2)
+                + (u.take(ip1, axis=-2) - u.take(im2, axis=-2))
+                * G.take(im1, axis=-2) - G)
+
     # No float kernels: at d = 40 a step on Python lists is slower than the
     # array step; single states take the compiled kernel.
     # known_lambda: literature value for the standard D=40, F=8 setup.
     lam = 1.67 if (D == 40 and F == 8.0) else None
     return OdeSystem(name="lorenz96", dim=D, params={"D": D, "F": F},
-                     rhs=rhs, jac=jac, known_lambda=lam,
+                     rhs=rhs, jac=jac, jvp=jvp, known_lambda=lam,
                      kernel=("lorenz96", (F,)))
 
 

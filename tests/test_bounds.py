@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from paratime import presets
 from paratime.bounds import (ball_budget, beta_bound, empirical_order,
                              estimate_mu_nu, outer_ball_radius,
                              source_term_empirical, source_term_theoretical,
                              spectral_norm, transport_term)
-from paratime.engine import TrajectoryVec, fine_serial_reference, parareal_iterate
+from paratime.criteria import StopCriterion
+from paratime.engine import (TrajectoryVec, fine_serial_reference,
+                             parareal_iterate, parareal_solve)
 from paratime.errors import ConfigError, DiagnosticUnavailable
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
                                   coarse_propagator, fine_propagator,
                                   get_tableau, stability_function)
+from paratime.metrics import serial_work
 from paratime.systems import (OdeSystem, make_linear, make_logistic,
                               default_initial_state, make_lorenz63,
                               make_lorenz96)
@@ -252,3 +256,82 @@ def test_empirical_order_needs_three_points():
         empirical_order([0.1, 0.01])
     with pytest.raises(DiagnosticUnavailable):
         empirical_order([0.1, 0.0, 0.0])
+
+
+def test_estimate_mu_nu_bitwise_equal_to_per_sample_loop():
+    """The one batched Jacobian call gives the bits of one call per sample."""
+    sys40 = make_lorenz96()
+    grid = GridSpec.make(T=4.0, N=16, xi=10, h=5e-3)
+    ref = fine_serial_reference(fine_propagator(grid, RK4), sys40, grid,
+                                default_initial_state(sys40))
+    times = grid.interface_times
+    mu, nu = estimate_mu_nu(sys40, times, ref.states)
+    jacs = [sys40.jac(t, u) for t, u in zip(times, ref.states)]
+    assert mu == max(spectral_norm(J) for J in jacs)
+    assert nu == max(spectral_norm(b - a) / (t1 - t0) for a, b, t0, t1
+                     in zip(jacs, jacs[1:], times, times[1:]))
+
+
+# -- root causes of the failing acceptance criteria ----------------------------
+
+def _criterion6_halving_exponents(system, u0, tab):
+    """log2 of the source-term ratio over four halvings of h, on the
+    sampling of acceptance criterion 6 with ``tab`` on both levels."""
+    T, n = 6.0, 12
+    grid = GridSpec.make(T=T, N=n, xi=10, h=T / n / 100)
+    states = fine_serial_reference(fine_propagator(grid, RK4), system, grid,
+                                   u0).states
+    mu, _ = estimate_mu_nu(system, grid.interface_times, states)
+    h0 = 1.0 / (mu * 10 * spectral_norm(RK4.A)) / 10.0
+    vals = []
+    for k in range(4):
+        g = GridSpec.make(T=h0 / 2 ** k * 100, N=1, xi=10, L=10)
+        vals.append(source_term_empirical(fine_propagator(g, tab),
+                                          coarse_propagator(g, tab), system,
+                                          states))
+    return np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
+
+
+@pytest.mark.parametrize("tab", ["euler", "implicit_euler", "heun", "rk4"])
+@pytest.mark.parametrize("system,u0", [
+    (make_logistic(), [0.05]),
+    (make_lorenz63(), presets.LORENZ63_START),
+], ids=["logistic", "lorenz63"])
+def test_source_halving_exponent_is_coarse_order_plus_one(system, u0, tab):
+    """Criterion 6 asks RK4/RK4 for h^2, but the mismatch of a tableau of
+    order p paired with itself halves with exponent p + 1: the paper's h^2
+    is the first-order rate."""
+    tab = get_tableau(tab)
+    p = tab.order
+    lo, hi = (1.7, 2.3) if p == 1 else (p + 0.5, p + 1.5)
+    exponents = _criterion6_halving_exponents(system, np.array(u0), tab)
+    assert np.all((lo <= exponents) & (exponents <= hi)), exponents
+
+
+def test_logistic_table_interfaces_saturate_below_n64():
+    """Criterion 1 wants K = 3 at N = 16 and 32, but at T = 1024 every
+    interface with dT >= 32 sits on the fixed point u = 1 to rounding, so
+    the first residual is already below eps = 1e-12 there."""
+    base = presets.logistic_base()
+    system = base.resolve_system()
+    u0 = base.resolve_u0(system)
+    first = {}
+    for N in (8, 16, 32, 64):
+        grid = GridSpec.make(T=base.T, N=N, xi=base.xi, h=base.h)
+        report = parareal_solve(
+            system, grid, fine_propagator(grid, get_tableau(base.fine)),
+            coarse_propagator(grid, get_tableau(base.coarse)),
+            StopCriterion(kind="standard", eps=base.eps), u0)
+        first[N] = report.residual_history[0]
+    assert all(first[N] < 1e-12 for N in (8, 16, 32)), first
+    assert first[64] > 1e-8, first
+
+
+def test_serial_work_spans_horizon_ratio_at_fixed_n():
+    """Criterion 5 wants K * dT within 1.5x over the horizon doubling, but
+    at fixed N any constant K >= 1 spans T_max / T_min = 8x."""
+    sweep = presets.serial_work_sweep()
+    N = sweep.base.N
+    for K in range(1, N + 1):
+        work = [serial_work(K, T / N) for T in sweep.T_list]
+        assert max(work) >= 8.0 * min(work)

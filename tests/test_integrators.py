@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paratime import _kernel
+from paratime import _kernel, integrators
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4, TABLEAUX,
                                   ButcherTableau, GridSpec, Propagator,
@@ -16,7 +16,7 @@ from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4, TABLEAUX,
                                   get_tableau, kernel_path, propagate,
                                   propagate_with_jacobian,
                                   propagate_with_tangent, rk_step,
-                                  stability_function)
+                                  rk_step_with_tangent, stability_function)
 from paratime.systems import (make_linear, make_logistic, make_lorenz63,
                               make_lorenz96)
 
@@ -469,3 +469,127 @@ def test_kernel_zero_newton_derivative_parity():
             propagate(prop, system, 0.0, U)
         failures.append(str(err.value))
     assert failures[0] == failures[1]
+
+
+# -- compiled tangent kernel -------------------------------------------------
+
+def numpy_tangent_walk(prop, system, t0, u, tangent):
+    """The chunk with its tangent block on the numpy step alone."""
+    system = array_only(system)
+    for i in range(prop.steps_per_call):
+        u, tangent = rk_step_with_tangent(prop.tableau, system,
+                                          t0 + i * prop.step, u, tangent,
+                                          prop.step)
+    return u, tangent
+
+
+TANGENT_CASES = [(name, tab, m)
+                 for name, (system, _) in KERNEL_SYSTEMS.items()
+                 for tab in TABLEAUX.values() if tab.is_explicit
+                 for m in sorted({1, system.dim})]
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (64,)],
+                         ids=["d", "1xd", "7xd", "64xd"])
+@pytest.mark.parametrize("name,tab,m", TANGENT_CASES,
+                         ids=[f"{n}-{t.name}-m{m}" for n, t, m in TANGENT_CASES])
+def test_tangent_kernel_bitwise_equal_to_rk_step_with_tangent(name, tab, m,
+                                                              shape):
+    system, states = KERNEL_SYSTEMS[name]
+    rng = np.random.default_rng(6)
+    U = states(rng, shape[0] if shape else 1).reshape(shape + (system.dim,))
+    G = rng.normal(size=U.shape + (m,))
+    prop = Propagator(tableau=tab, step=0.01, steps_per_call=30)
+    u_expected, g_expected = numpy_tangent_walk(prop, system, 0.25, U, G)
+    g = G.copy()
+    out, status, _ = _compiled_kernel(prop, system, U)(U, g)
+    assert status == _kernel.OK
+    assert np.array_equal(out, u_expected)
+    assert np.array_equal(g, g_expected)
+    u_got, g_got = propagate_with_tangent(prop, system, 0.25, U, G)
+    assert np.array_equal(u_got, u_expected)
+    assert np.array_equal(g_got, g_expected)
+    assert np.array_equal(u_got, propagate(prop, system, 0.25, U))
+
+
+def test_tangent_path_choice(monkeypatch):
+    """Explicit tableaux with a kernel spec and a (..., d, m) float64 block
+    take the compiled kernel; implicit tableaux, kernel-less systems,
+    broadcast and non-float64 blocks take the numpy step."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rk_step_with_tangent(*args)
+
+    monkeypatch.setattr(integrators, "rk_step_with_tangent", counted)
+    l63, logistic = make_lorenz63(), make_logistic()
+    rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
+    implicit = Propagator(tableau=IMPLICIT_EULER, step=0.01, steps_per_call=3)
+    U = np.array([[1.0, 2.0, 20.0], [-3.0, -4.0, 25.0]])
+    G = np.broadcast_to(np.eye(3), (2, 3, 3))  # read-only views are copied
+
+    def steps(prop, system, u, tangent):
+        calls.clear()
+        propagate_with_tangent(prop, system, 0.0, u, tangent)
+        return len(calls)
+
+    compiled = 0 if kernel_path() == "c" else 3
+    assert steps(rk4, l63, U, G) == compiled
+    assert steps(rk4, l63, U[0], np.ones((3, 1))) == compiled
+    assert steps(implicit, logistic, np.array([[0.5]]), np.ones((1, 1, 1))) == 3
+    assert steps(rk4, array_only(l63), U, G) == 3
+    assert steps(rk4, l63, U, np.eye(3)) == 3  # broadcast over the batch
+    assert steps(rk4, l63, U, np.ones((2, 3, 1), dtype=np.float32)) == 3
+
+
+def test_tangent_blowup_step_and_chunk_parity():
+    lin = make_linear(80.0)
+    prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
+    U = np.array([[1e-300], [1.0], [2.0]])
+    errors = []
+    for system in (lin, array_only(lin)):
+        with pytest.raises(BlowUpError) as err:
+            propagate_with_jacobian(prop, system, 0.0, U)
+        errors.append((err.value.step_index, err.value.chunk_index,
+                       str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is not None and errors[0][1] == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tangent_only_blowup_message_parity():
+    """A tangent block that overflows while the state stays finite raises
+    the same error on both paths."""
+    lin = make_linear(1.0)
+    prop = Propagator(tableau=RK4, step=0.5, steps_per_call=4)
+    U = np.array([[1.0], [2.0]])
+    G = np.full((2, 1, 1), 1e308)
+    for system in (lin, array_only(lin)):
+        assert np.isfinite(propagate(prop, system, 0.0, U)).all()
+        with pytest.raises(BlowUpError, match="^tangent block became "
+                                              "non-finite$") as err:
+            propagate_with_tangent(prop, system, 0.0, U, G)
+        assert err.value.step_index is None
+
+
+def test_tangent_without_compiler_gives_the_same_bits(tmp_path, monkeypatch,
+                                                      fresh_kernel_load):
+    system, states = KERNEL_SYSTEMS["lorenz96-D40"]
+    U = states(np.random.default_rng(8), 5)
+    G = np.broadcast_to(np.eye(40), (5, 40, 40))
+
+    def run():
+        prop = Propagator(tableau=RK4, step=0.01, steps_per_call=20)
+        return propagate_with_tangent(prop, system, 0.0, U, G), kernel_path()
+
+    (u_c, g_c), path_c = run()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_kernel, "CC", str(tmp_path / "no-such-cc"))
+    _kernel.load.cache_clear()
+    (u_n, g_n), path_n = run()
+    assert path_n == "numpy"
+    assert np.array_equal(u_c, u_n)
+    assert np.array_equal(g_c, g_n)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from paratime.errors import ConfigError
-from paratime.systems import (build_system, default_initial_state,
+from paratime.systems import (OdeSystem, build_system, default_initial_state,
                               make_linear, make_logistic, make_lorenz63,
                               make_lorenz96)
 
@@ -138,3 +140,30 @@ def test_default_initial_states():
     assert u96.shape == (40,)
     assert u96[0] == pytest.approx(8.01)
     assert np.all(u96[1:] == 8.0)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS + [make_lorenz96(D=5)],
+                         ids=lambda s: f"{s.name}-{s.dim}")
+def test_jvp_matches_dense_jacobian_product(system):
+    """The structured tangent product agrees with jac @ G to rounding."""
+    rng = np.random.default_rng(29)
+    d = system.dim
+    for shape, m in (((), 1), ((), d), ((6,), 1), ((6,), d), ((2, 3), 2)):
+        u = rng.normal(size=shape + (d,)) * 8.0
+        G = rng.normal(size=shape + (d, m))
+        dense = system.jac(0.0, u) @ G
+        got = system.jvp(0.0, u, G)
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_jvp_defaults_to_the_dense_product():
+    """A system built without a jvp uses jac @ G, rebound on replace."""
+    s63 = make_lorenz63()
+    plain = OdeSystem(name="plain", dim=3, rhs=s63.rhs, jac=s63.jac)
+    u = np.array([1.0, -2.0, 20.0])
+    G = np.random.default_rng(31).normal(size=(3, 2))
+    assert np.array_equal(plain.jvp(0.0, u, G), s63.jac(0.0, u) @ G)
+    doubled = dataclasses.replace(plain, jac=lambda t, u: 2.0 * s63.jac(t, u))
+    assert np.array_equal(doubled.jvp(0.0, u, G),
+                          (2.0 * s63.jac(0.0, u)) @ G)
