@@ -13,6 +13,7 @@ import csv
 import io
 import sys
 
+from . import _kernel
 from . import bounds as bounds_mod
 from . import engine, experiments, integrators, metrics
 from .config import SolveConfig, SweepConfig, load_sweep_config, read_config_file
@@ -90,8 +91,11 @@ def _cmd_solve(args) -> int:
         print("lipschitz=" + " ".join(f"{v:.6g}" for v in report.lipschitz_history))
     # Per iteration: fine rows,coarse chunks actually propagated.
     print("propagated=" + " ".join(f"{f},{c}" for f, c in report.propagated))
-    # Which step ran the batched and Lorenz-96 propagations: c or numpy.
-    print(f"kernel={integrators.kernel_path()}")
+    # Which step ran the batched and Lorenz-96 propagations: c or numpy;
+    # then the threads a compiled call of at least 2 * MIN_WORK splits over.
+    path = integrators.kernel_path()
+    print(f"kernel={path}")
+    print(f"threads={_kernel.cpu_count() if path == 'c' else 1}")
     return 0
 
 

@@ -20,6 +20,8 @@ exactly the values a recomputation would give.
 
 The output is schedule-independent: chunk propagations share no state and the
 correction order is fixed, so any worker assignment reproduces the same bits.
+The compiled kernel uses that: it splits a large batch into row blocks that
+run on threads at once (see ``_kernel``), with the same bits as one call.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paratime import _kernel
 from paratime.cli import main
 from paratime.config import dump_config
 from paratime.experiments import read_sweep_csv
@@ -41,6 +42,9 @@ def test_solve_prints_kernel_path(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"kernel={kernel_path()}" in lines
     assert kernel_path() in ("c", "numpy")
+    threads = _kernel.cpu_count() if kernel_path() == "c" else 1
+    assert lines[lines.index(f"kernel={kernel_path()}") + 1] == \
+        f"threads={threads}"
 
 
 def test_solve_validation_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import shutil
 import tempfile
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -593,3 +594,131 @@ def test_tangent_without_compiler_gives_the_same_bits(tmp_path, monkeypatch,
     assert path_n == "numpy"
     assert np.array_equal(u_c, u_n)
     assert np.array_equal(g_c, g_n)
+
+
+# -- compiled calls split across threads -------------------------------------
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Set how many blocks a compiled explicit call is split into."""
+    def split_into(n):
+        monkeypatch.setattr(_kernel, "MIN_WORK", 1)
+        monkeypatch.setattr(_kernel, "cpu_count", lambda: n)
+    return split_into
+
+
+SPLIT_CASES = [(name, tab, m)
+               for name, (system, _) in KERNEL_SYSTEMS.items()
+               for tab in TABLEAUX.values() if tab.is_explicit
+               for m in sorted({0, 1, system.dim})]
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("name,tab,m", SPLIT_CASES,
+                         ids=[f"{n}-{t.name}-m{m}" for n, t, m in SPLIT_CASES])
+def test_split_call_bitwise_equal_to_one_block(name, tab, m, n, blocks,
+                                               thread_starts):
+    system, states = KERNEL_SYSTEMS[name]
+    rng = np.random.default_rng(9)
+    U = states(rng, 7)  # 7 rows: no block count here divides them
+    G = rng.normal(size=U.shape + (m,)) if m else None
+    prop = Propagator(tableau=tab, step=0.01, steps_per_call=30)
+    run = _compiled_kernel(prop, system, U)
+
+    def call():
+        g = None if G is None else G.copy()
+        out, status, _ = run(U, g)
+        return out, status, g
+
+    blocks(1)
+    u1, status1, g1 = call()
+    assert not thread_starts
+    blocks(n)
+    u_n, status_n, g_n = call()
+    assert len(thread_starts) == n - 1
+    assert status1 == status_n == _kernel.OK
+    assert np.array_equal(u1, u_n)
+    assert m == 0 or np.array_equal(g1, g_n)
+
+
+@needs_kernel
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_split_call_blowup_in_last_block_parity(n, blocks):
+    """A row that overflows in the last block names the same step and
+    chunk; a tangent that overflows there gives the same message."""
+    lin = make_linear(80.0)
+    prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
+    U = np.array([[1e-300]] * 6 + [[1.0]])
+    tan_prop = Propagator(tableau=RK4, step=0.5, steps_per_call=4)
+    ones = np.ones((7, 1))
+    G = np.ones((7, 1, 1))
+    G[-1] = 1e308
+    errors = []
+    for count in (1, n):
+        blocks(count)
+        with pytest.raises(BlowUpError) as err:
+            propagate(prop, lin, 0.0, U)
+        with pytest.raises(BlowUpError) as tan_err:
+            propagate_with_tangent(tan_prop, make_linear(1.0), 0.0, ones, G)
+        errors.append((err.value.step_index, err.value.chunk_index,
+                       str(err.value), str(tan_err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 6
+    assert errors[0][3] == "tangent block became non-finite"
+
+
+def test_split_call_return_codes_gravest_first():
+    OK, NONFINITE = _kernel.OK, _kernel.NONFINITE
+    TANGENT, NO_MEMORY = _kernel.TANGENT_NONFINITE, _kernel.NO_MEMORY
+    assert _kernel._combine([OK, OK]) == OK
+    assert _kernel._combine([OK, TANGENT]) == TANGENT
+    assert _kernel._combine([TANGENT, NONFINITE, OK]) == NONFINITE
+    assert _kernel._combine([NONFINITE, NO_MEMORY]) == NO_MEMORY
+
+
+def test_worker_exception_reaches_the_caller(thread_starts):
+    def call(lo, hi):
+        if lo == 2:
+            raise ValueError("block at row 2")
+        return lo
+
+    assert _kernel.run_blocks(call, [(0, 1), (1, 2)]) == [0, 1]
+    with pytest.raises(ValueError, match="block at row 2"):
+        _kernel.run_blocks(call, [(0, 1), (1, 2), (2, 3)])
+    assert len(thread_starts) == 3
+    assert not any(thread.is_alive() for thread in thread_starts)
+
+
+@needs_kernel
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_threads_bounded_by_affinity_mask(cpus, monkeypatch,
+                                                thread_starts):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    system, states = KERNEL_SYSTEMS["lorenz96-D40"]
+    U = states(np.random.default_rng(10), 64)
+    prop = Propagator(tableau=RK4, step=0.01, steps_per_call=5)
+    # Below 2 * MIN_WORK a call runs on the caller alone.
+    assert 64 * 40 * 5 < 2 * _kernel.MIN_WORK
+    propagate(prop, system, 0.0, U)
+    assert not thread_starts
+    monkeypatch.setattr(_kernel, "MIN_WORK", 1)
+    propagate(prop, system, 0.0, U)
+    propagate_with_jacobian(prop, system, 0.0, U)
+    assert len(thread_starts) == 2 * (cpus - 1)
