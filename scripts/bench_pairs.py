@@ -6,8 +6,8 @@ pairs, and write the per-metric summary as JSON.
 
 The base commit is exported with ``git archive`` into a temporary
 directory; the change side is the working tree this script sits in.  Each
-pair runs ``perfbench/run.py --trace 0`` once on each side, the side that
-goes first alternating from pair to pair.  For every workload, metric and
+pair runs ``perfbench/run.py`` with its default run length and no tracing
+once on each side, the side that goes first alternating from pair to pair.  For every workload, metric and
 side the file holds the median and quartiles over the pairs, and the change's
 wins, losses and ties against the base, "better" read from
 ``BENCHMARK.json``.  It also records the seed, the CPU count, the numpy
@@ -70,11 +70,11 @@ def summarize(pairs, better: dict) -> dict:
     return out
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``; its last JSON line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -105,7 +105,6 @@ def main(argv=None) -> int:
                    help="workload name; repeat for several (default: all)")
     p.add_argument("--pairs", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
 
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                           capture_output=True, text=True,
                           check=True).stdout.strip()
-    result = {"base": base, "seed": args.seed, "seconds": args.seconds,
+    result = {"base": base, "seed": args.seed,
               **environment(), "workloads": {}, "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
@@ -125,8 +124,8 @@ def main(argv=None) -> int:
             pairs = []
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                got = {side: run_once(checkouts[side], workload, args.seed,
-                                      args.seconds) for side in order}
+                got = {side: run_once(checkouts[side], workload, args.seed)
+                       for side in order}
                 pairs.append((got["base"], got["change"]))
                 wall = {s: got[s]["metrics"].get("wall_s", {}).get("value")
                         for s in SIDES}

@@ -26,19 +26,18 @@ Array = np.ndarray
 
 
 def spectral_norm(M: Array) -> float:
-    """Induced 2-norm: the largest singular value of M, from an SVD."""
+    """Induced 2-norm: the largest singular value of M, from an SVD.
+
+    A ``(k, d, d)`` stack gives the largest norm over its matrices, from one
+    stacked SVD; each matrix's singular values are the bits of its own SVD.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ConfigError(f"spectral_norm expects a matrix, got shape {M.shape}")
+    if M.ndim not in (2, 3):
+        raise ConfigError(
+            f"spectral_norm expects a matrix or a stack, got shape {M.shape}")
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
-
-
-def _sup_norm(stack: Array) -> float:
-    """Largest spectral norm over a ``(k, d, d)`` stack, from one stacked SVD;
-    each matrix's value is the same as :func:`spectral_norm`'s."""
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+    return float(np.linalg.svd(M, compute_uv=False).max())
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,10 @@ def estimate_mu_nu(system: OdeSystem, times: Sequence[float],
     # One batched call; each sample's time broadcasts against its (d, d)
     # block, as a scalar time does against one Jacobian.
     jacs = system.jac(times[:, np.newaxis, np.newaxis], states)
+    # Each difference's norm is divided by its own dt before the max, so the
+    # drift needs the per-matrix norms, not spectral_norm's maximum.
     drift = np.linalg.svd(np.diff(jacs, axis=0), compute_uv=False)[:, 0] / dt
-    return _sup_norm(jacs), float(drift.max())
+    return spectral_norm(jacs), float(drift.max())
 
 
 def transport_term(g_norm: float, N: int) -> float:
@@ -126,7 +127,7 @@ def source_term_empirical(fine: Propagator, coarse: Propagator,
         times = np.zeros(states.shape[0])
     JF = _chunk_jacobians(fine, system, times, states)
     JF -= _chunk_jacobians(coarse, system, times, states)
-    return _sup_norm(JF)
+    return spectral_norm(JF)
 
 
 def source_term_theoretical(tabF: ButcherTableau, tabG: ButcherTableau,
@@ -172,9 +173,9 @@ def beta_bound(fine: Propagator, coarse: Propagator, system: OdeSystem,
     times = np.asarray(times, dtype=float)
     JF = _chunk_jacobians(fine, system, times, states)
     JG = _chunk_jacobians(coarse, system, times, states)
-    g_sup = _sup_norm(JG)
+    g_sup = spectral_norm(JG)
     JF -= JG  # the mismatch, without a third stack
-    source = _sup_norm(JF)
+    source = spectral_norm(JF)
     transport = transport_term(g_sup, grid.N)
     mu, nu = estimate_mu_nu(system, times, states)
     th = source_term_theoretical(fine.tableau, coarse.tableau, grid.h, grid.xi,

@@ -200,18 +200,13 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
 
     # The rhs differentiated term by term: 4 entries of G per row instead of
     # a dense d x d product, in the order of
-    # ((G[i+1] - G[i-2]) u[i-1] + (u[i+1] - u[i-2]) G[i-1]) - G[i],
-    # accumulated in the gathered copies of G.
+    # ((G[i+1] - G[i-2]) u[i-1] + (u[i+1] - u[i-2]) G[i-1]) - G[i].
+    # The two products are new arrays of the promoted dtype and shape; the
+    # sums then accumulate in place.
     def jvp(t, u, G):
         u = u[..., np.newaxis]
-        G = np.broadcast_to(G, np.broadcast_shapes(u.shape[:-2] + G.shape[-2:],
-                                                   G.shape))
-        out = G.take(ip1, axis=-2)
-        out -= G.take(im2, axis=-2)
-        out *= u.take(im1, axis=-2)
-        term = G.take(im1, axis=-2)
-        term *= u.take(ip1, axis=-2) - u.take(im2, axis=-2)
-        out += term
+        out = (G.take(ip1, axis=-2) - G.take(im2, axis=-2)) * u.take(im1, axis=-2)
+        out += G.take(im1, axis=-2) * (u.take(ip1, axis=-2) - u.take(im2, axis=-2))
         out -= G
         return out
 

@@ -47,6 +47,16 @@ def test_spectral_norm_exact_on_lorenz96_jacobian():
         assert spectral_norm(J) == np.linalg.norm(J, 2)
 
 
+def test_spectral_norm_of_a_stack_is_the_largest_matrix_norm():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(7, 5, 5))
+    assert spectral_norm(stack) == max(np.linalg.norm(M, 2) for M in stack)
+    assert spectral_norm(np.zeros((0, 4, 4))) == 0.0
+    for bad in (np.ones(3), np.ones((2, 2, 2, 2))):
+        with pytest.raises(ConfigError):
+            spectral_norm(bad)
+
+
 def test_transport_term_values():
     assert transport_term(2.0, 3) == pytest.approx(7.0)
     assert transport_term(1.0, 5) == 5.0

@@ -545,6 +545,22 @@ def test_tangent_path_choice(monkeypatch):
     assert steps(rk4, l63, U, np.ones((2, 3, 1), dtype=np.float32)) == 3
 
 
+def test_lorenz96_narrow_tangent_blocks_propagate_in_float64():
+    """An integer identity takes the numpy step and gives the bits of the
+    float64 identity; a float32 block gives float64 output within rounding."""
+    l96 = make_lorenz96()
+    rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=5)
+    u = np.full(40, 8.0)
+    u[0] += 0.01
+    state, jac = propagate_with_tangent(rk4, l96, 0.0, u, np.eye(40))
+    for dtype in (np.int64, np.float32):
+        got_state, got = propagate_with_tangent(rk4, l96, 0.0, u,
+                                                np.eye(40, dtype=dtype))
+        assert got.dtype == np.float64
+        assert np.array_equal(got_state, state)
+        assert np.array_equal(got, jac)
+
+
 def test_tangent_blowup_step_and_chunk_parity():
     lin = make_linear(80.0)
     prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)

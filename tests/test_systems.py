@@ -157,6 +157,24 @@ def test_jvp_matches_dense_jacobian_product(system):
         assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_lorenz96_jvp_promotes_narrow_blocks_to_float64(dtype):
+    """float32 and integer tangent blocks give float64 slopes, as jac @ G
+    does; a block shared by a batch of states broadcasts.  Differences of a
+    float32 block's entries round in float32."""
+    s96 = make_lorenz96()
+    rng = np.random.default_rng(37)
+    u = rng.normal(size=(3, 40)) * 8.0
+    rtol = np.finfo(dtype).eps if dtype == np.float32 else 1e-13
+    for G in (np.eye(40, dtype=dtype),
+              (rng.normal(size=(3, 40, 5)) * 4.0).astype(dtype)):
+        dense = s96.jac(0.0, u) @ G
+        got = s96.jvp(0.0, u, G)
+        assert got.dtype == np.float64
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= rtol * np.abs(dense).max()
+
+
 def test_jvp_defaults_to_the_dense_product():
     """A system built without a jvp uses jac @ G, rebound on replace."""
     s63 = make_lorenz63()
