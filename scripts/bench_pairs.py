@@ -1,7 +1,7 @@
 """Run the benchmark on a base commit and on this checkout in alternating
 pairs, and write the per-metric summary as JSON.
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 6 --seed 23 \\
+    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --seed 23 \\
         --out BENCH_<n>.json
 
 The base commit is exported with ``git archive`` into a temporary
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     p.add_argument("--base", default="HEAD~1", help="commit to compare with")
     p.add_argument("--workload", action="append",
                    help="workload name; repeat for several (default: all)")
-    p.add_argument("--pairs", type=int, default=6)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
