@@ -14,16 +14,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import systems as systems_mod
-from .criteria import StopCriterion
+from .criteria import CHECK_KINDS, WEIGHT_MODES, StopCriterion
 from .errors import ConfigError
 from .integrators import (GridSpec, Propagator, coarse_propagator,
                           fine_propagator, get_tableau)
 from .systems import OdeSystem
 
-# External names for criterion selection.
-_CHECKS = {"standard": "standard", "psi": "proximity"}
-_WEIGHTS = {"unit": "unit", "lyapunov": "lyapunov",
-            "lipschitz": "lipschitz_dynamic"}
 _MODES = ("strong", "weak", "time")
 
 
@@ -47,17 +43,16 @@ class SolveConfig:
     lam: Optional[float] = None
     w1_mode: str = "per-coordinate-mean"
     snapshots: bool = False
-    seed: int = 0  # reserved for future randomized features
 
     def validate(self) -> None:
-        if self.check not in _CHECKS:
+        if self.check not in CHECK_KINDS:
             raise ConfigError(
                 f"check: unknown value {self.check!r}; expected one of "
-                f"{sorted(_CHECKS)}")
-        if self.weight not in _WEIGHTS:
+                f"{sorted(CHECK_KINDS)}")
+        if self.weight not in WEIGHT_MODES:
             raise ConfigError(
                 f"weight: unknown value {self.weight!r}; expected one of "
-                f"{sorted(_WEIGHTS)}")
+                f"{sorted(WEIGHT_MODES)}")
         if self.eps <= 0:
             raise ConfigError(f"eps: must be positive, got {self.eps}")
         if self.check == "psi" and self.weight == "lyapunov" and self.lam is None:
@@ -88,8 +83,8 @@ class SolveConfig:
                 coarse_propagator(grid, get_tableau(self.coarse)))
 
     def resolve_criterion(self) -> StopCriterion:
-        return StopCriterion(kind=_CHECKS[self.check], eps=self.eps,
-                             weight_mode=_WEIGHTS[self.weight], lam=self.lam)
+        return StopCriterion(kind=self.check, eps=self.eps, weight=self.weight,
+                             lam=self.lam)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

@@ -1,10 +1,14 @@
 """Stopping criteria for the fixed-point iteration.
 
-Two families: the standard relative-residual check between successive
-iterates, and the proximity function, a weighted mean of the inter-chunk
-jump norms.  Weights decay geometrically with the chunk index so that
-late-time discrepancies (which a chaotic flow amplifies anyway) count less
-than early-time ones.
+Two checks: ``standard``, the relative residual between successive
+iterates, and ``psi``, the proximity function, a weighted mean of the
+inter-chunk jump norms.  Its base weight ``w`` is ``unit`` (1),
+``lyapunov`` (e^{lambda dT}) or ``lipschitz`` (the running secant estimate
+of the fine chunk map's Lipschitz constant); weights decay geometrically
+with the chunk index so that late-time discrepancies (which a chaotic flow
+amplifies anyway) count less than early-time ones.  A ``StopCriterion`` is
+immutable: the solve computes ``w`` with ``base_weight`` each iteration and
+passes it to ``check``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .errors import ConfigError
 
 Array = np.ndarray
 
-CHECK_KINDS = ("standard", "proximity")
-WEIGHT_MODES = ("unit", "lyapunov", "lipschitz_dynamic")
+CHECK_KINDS = ("standard", "psi")
+WEIGHT_MODES = ("unit", "lyapunov", "lipschitz")
 
 # Chunks whose state norm sits below this are skipped by the relative check.
 _TINY_NORM = 1e-300
@@ -27,26 +31,21 @@ _TINY_NORM = 1e-300
 _SECANT_FLOOR = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopCriterion:
-    """Stopping rule: kind, tolerance, and weighting scheme.
-
-    ``w`` is the current base weight; the solve loop owns and updates it in
-    ``lipschitz_dynamic`` mode (starting from 1 while no iterate pair exists,
-    which makes the first iteration behave like an unweighted check).
-    """
+    """Stopping rule: check kind, tolerance, weight mode and the Lyapunov
+    exponent that ``lyapunov`` weighting needs."""
 
     kind: str = "standard"
     eps: float = 1e-9
-    weight_mode: str = "unit"
-    w: float = 1.0
+    weight: str = "unit"
     lam: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
             raise ConfigError(f"unknown check kind {self.kind!r}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weight mode {self.weight_mode!r}")
+        if self.weight not in WEIGHT_MODES:
+            raise ConfigError(f"unknown weight mode {self.weight!r}")
         if self.eps <= 0.0:
             raise ConfigError(f"tolerance must be positive, got {self.eps}")
 
@@ -114,7 +113,7 @@ def base_weight(mode: str, lam: Optional[float], dT: float,
             raise ConfigError(
                 "lyapunov weighting needs a Lyapunov exponent (lambda)")
         return float(np.exp(lam * dT))
-    if mode == "lipschitz_dynamic":
+    if mode == "lipschitz":
         return max(1.0, float(current_lipschitz))
     raise ConfigError(f"unknown weight mode {mode!r}")
 
@@ -154,14 +153,14 @@ def equivalence_constants(Lambda_F: float, w: float, N: int) -> NormEquivalence:
     return NormEquivalence(theta=theta, c_lower=c, C_upper=C, N=N)
 
 
-def check(criterion: StopCriterion, U_curr, U_prev,
-          fine_prev_values: Array) -> tuple[bool, float]:
+def check(criterion: StopCriterion, U_curr, U_prev, fine_prev_values: Array,
+          w: float) -> tuple[bool, float]:
     """Evaluate the criterion for one iteration.
 
     Standard: max over chunks of the relative change between the two
-    iterates.  Proximity: the weighted jump measure of the older iterate,
-    whose fine sweep ``fine_prev_values`` was computed this iteration.
-    Returns (fired, value).
+    iterates.  Psi: the proximity function with base weight ``w`` of the
+    older iterate, whose fine sweep ``fine_prev_values`` was computed this
+    iteration.  Returns (fired, value).
     """
     if criterion.kind == "standard":
         a = np.asarray(getattr(U_curr, "states", U_curr))[1:]
@@ -173,5 +172,5 @@ def check(criterion: StopCriterion, U_curr, U_prev,
         usable = base >= _TINY_NORM
         value = float(np.max(diff[usable] / base[usable])) if np.any(usable) else 0.0
     else:
-        value = proximity(U_prev, fine_prev_values, criterion.w)
+        value = proximity(U_prev, fine_prev_values, w)
     return value < criterion.eps, value

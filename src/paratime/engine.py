@@ -7,7 +7,9 @@ the correction
 
     U_n^k = G(U_{n-1}^k) + F(U_{n-1}^{k-1}) - G(U_{n-1}^{k-1}).
 
-Within a solve, a chunk whose input row is bitwise equal to its input in the
+``_iterate`` is that one step for both entry points: ``parareal_iterate``
+runs it with no history, and ``parareal_solve`` runs it with a memo.  Within
+a solve, a chunk whose input row is bitwise equal to its input in the
 previous iteration is not propagated again: its fine image is copied from
 the previous fine sweep and its coarse image from the previous correction
 sweep (the coarse guess on the first iteration).  After k iterations the
@@ -26,7 +28,7 @@ run on threads at once (see ``_kernel``), with the same bits as one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,7 +83,6 @@ class RunReport:
     """
 
     K: int
-    converged: bool
     solution: TrajectoryVec
     residual_history: List[float]
     lipschitz_history: List[float]
@@ -188,11 +189,34 @@ def _correction_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
     return nxt, g_new
 
 
+def _iterate(fine: Propagator, coarse: Propagator, system: OdeSystem,
+             grid: GridSpec, u0: Array, states: Array, coarse_images: Array,
+             memo: Optional[tuple] = None) -> tuple[Array, Array, Array]:
+    """One corrected iteration from the interface array ``states``.
+
+    ``coarse_images[n-1]`` is the coarse image of ``states[n-1]``.  Returns
+    the next iterate, the fine images of ``states`` and the coarse images of
+    the next iterate's chunk inputs.  Without ``memo`` every chunk is
+    propagated.  A solve passes ``memo = (older, fine_older)``, the previous
+    iteration's input and its fine images (``None`` on the first
+    iteration): a fine row whose input repeats ``older`` bitwise is copied
+    from ``fine_older``, and a coarse chunk whose input repeats ``states``
+    bitwise is copied from ``coarse_images``.
+    """
+    older, fine_older = (None, None) if memo is None else memo
+    fine_values = _fine_sweep_batched(fine, system, grid, states, older,
+                                      fine_older)
+    nxt, coarse_next = _correction_sweep(coarse, system, grid, u0, fine_values,
+                                         coarse_images,
+                                         None if memo is None else states)
+    return nxt, fine_values, coarse_next
+
+
 def parareal_iterate(U_prev: TrajectoryVec, fine: Propagator,
                      coarse: Propagator, system: OdeSystem,
                      grid: GridSpec, u0: Array | None = None
                      ) -> tuple[TrajectoryVec, List[Array]]:
-    """One corrected iteration from ``U_prev``.
+    """One corrected iteration from ``U_prev``, with no history.
 
     Returns the next iterate together with the fine chunk values
     ``F(U_prev[n-1])``, which stopping criteria and the Lipschitz estimator
@@ -206,11 +230,10 @@ def parareal_iterate(U_prev: TrajectoryVec, fine: Propagator,
     """
     states = U_prev.states
     start = states[0] if u0 is None else np.asarray(u0, dtype=float)
-    fine_values = _fine_sweep_batched(fine, system, grid, states)
-    t_starts = np.arange(grid.N) * grid.dT
-    coarse_prev = propagate(coarse, system, t_starts, states[:-1])
-    nxt, _ = _correction_sweep(coarse, system, grid, start, fine_values,
-                               coarse_prev)
+    coarse_images = propagate(coarse, system, np.arange(grid.N) * grid.dT,
+                              states[:-1])
+    nxt, fine_values, _ = _iterate(fine, coarse, system, grid, start, states,
+                                   coarse_images)
     return TrajectoryVec(nxt), list(fine_values)
 
 
@@ -224,75 +247,48 @@ def parareal_solve(system: OdeSystem, grid: GridSpec, fine: Propagator,
     U^{k-1}, while the proximity check scores U^{k-1} from the jumps already
     in hand.  K is the number of iterations executed.  The loop is capped at
     k = N, where the iterate provably equals the fine reference (finite
-    termination), so a run that exhausts the cap is still converged.
+    termination), so a run that exhausts the cap has converged too.
     """
-    crit = replace(criterion)
-    if crit.weight_mode == "unit":
-        crit.w = 1.0
-    elif crit.weight_mode == "lyapunov":
-        crit.w = criteria.base_weight("lyapunov", crit.lam, grid.dT)
-    else:
-        crit.w = 1.0
-
     guess = coarse_sweep(coarse, system, grid, u0)
     iterates = [guess] if store_iterates else None
-
     U_prev = guess
-    # The coarse sweep satisfies G(U^0_{n-1}) = U^0_n, seeding the cache.
-    g_prev = guess.states[1:].copy()
-    fine_prev: Optional[Array] = None
-    U_prev_prev: Optional[TrajectoryVec] = None
+    # The coarse sweep satisfies G(U^0_{n-1}) = U^0_n, seeding the memo.
+    coarse_images = guess.states[1:].copy()
+    older: Optional[Array] = None
+    fine_older: Optional[Array] = None
     lam_est = 1.0
 
     residual_history: List[float] = []
     lipschitz_history: List[float] = []
     propagated: List[Tuple[int, int]] = []
-    K = grid.N
-    converged = True
-    U_curr = U_prev
-
-    for k in range(1, grid.N + 1):
-        # fine_prev holds the fine images of U^{k-2}, g_prev the coarse
-        # images of U^{k-1}; each sweep reuses those of unchanged inputs.
-        older = None if U_prev_prev is None else U_prev_prev.states
-        fine_values = _fine_sweep_batched(fine, system, grid, U_prev.states,
-                                          older, fine_prev)
-        nxt, g_new = _correction_sweep(coarse, system, grid, U_prev.states[0],
-                                       fine_values, g_prev, U_prev.states)
+    for _ in range(grid.N):
+        states = U_prev.states
+        nxt, fine_values, coarse_images = _iterate(
+            fine, coarse, system, grid, states[0], states, coarse_images,
+            (older, fine_older))
         U_curr = TrajectoryVec(nxt)
         propagated.append((
             grid.N if older is None
-            else _changed_rows(U_prev.states[:-1], older[:-1]).size,
-            _changed_rows(nxt[:-1], U_prev.states[:-1]).size))
+            else _changed_rows(states[:-1], older[:-1]).size,
+            _changed_rows(nxt[:-1], states[:-1]).size))
 
-        if crit.weight_mode == "lipschitz_dynamic":
-            if fine_prev is not None:
+        if criterion.weight == "lipschitz":
+            if fine_older is not None:
                 lam_est = criteria.update_lipschitz(
-                    lam_est, U_prev, U_prev_prev, fine_values, fine_prev)
-            crit.w = criteria.base_weight("lipschitz_dynamic", None, grid.dT,
-                                          lam_est)
+                    lam_est, states, older, fine_values, fine_older)
             lipschitz_history.append(lam_est)
-
-        fired, value = criteria.check(crit, U_curr, U_prev, fine_values)
+        w = criteria.base_weight(criterion.weight, criterion.lam, grid.dT,
+                                 lam_est)
+        fired, value = criteria.check(criterion, U_curr, U_prev, fine_values, w)
         residual_history.append(value)
         if store_iterates:
             iterates.append(U_curr)
-
         if fired:
-            K = k
-            converged = True
             break
+        older, fine_older, U_prev = states, fine_values, U_curr
 
-        U_prev_prev = U_prev
-        fine_prev = fine_values
-        U_prev = U_curr
-        g_prev = g_new
-    else:
-        # Cap reached: U^N is the fine solution by finite termination.
-        K = grid.N
-        converged = True
-
-    return RunReport(K=K, converged=converged, solution=U_curr,
+    # Past the cap U^N is the fine solution by finite termination.
+    return RunReport(K=len(residual_history), solution=U_curr,
                      residual_history=residual_history,
                      lipschitz_history=lipschitz_history,
                      propagated=propagated, iterates=iterates)

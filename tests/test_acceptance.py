@@ -69,10 +69,7 @@ class _SharedRuns:
         grid = GridSpec.make(T=T, N=N, xi=self.base.xi, h=self.base.h)
         fine = fine_propagator(grid, get_tableau(self.base.fine))
         coarse = coarse_propagator(grid, get_tableau(self.base.coarse))
-        kind = "standard" if check == "standard" else "proximity"
-        mode = {"unit": "unit", "lyapunov": "lyapunov",
-                "lipschitz": "lipschitz_dynamic"}[weight]
-        crit = StopCriterion(kind=kind, eps=self.base.eps, weight_mode=mode,
+        crit = StopCriterion(kind=check, eps=self.base.eps, weight=weight,
                              lam=lam)
         report = parareal_solve(self.system, grid, fine, coarse, crit,
                                 self.u0, store_iterates=True)
@@ -86,7 +83,6 @@ class _SharedRuns:
             k_exact = max(k_exact, float(np.max(err / scale)))
         result = {
             "K": report.K,
-            "converged": report.converged,
             "w1": trajectory_w1(report.solution, ref),
             "error_l2": float(np.linalg.norm(report.solution.states
                                              - ref.states)),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,8 @@ def test_base_weight_modes():
     assert base_weight("unit", None, 0.5) == 1.0
     assert base_weight("lyapunov", 0.9, 1.0) == pytest.approx(np.exp(0.9))
     assert base_weight("lyapunov", 0.0, 2.0) == 1.0
-    assert base_weight("lipschitz_dynamic", None, 1.0, 3.7) == 3.7
-    assert base_weight("lipschitz_dynamic", None, 1.0, 0.2) == 1.0
+    assert base_weight("lipschitz", None, 1.0, 3.7) == 3.7
+    assert base_weight("lipschitz", None, 1.0, 0.2) == 1.0
     with pytest.raises(ConfigError):
         base_weight("lyapunov", None, 1.0)
 
@@ -138,19 +140,28 @@ def test_equivalence_constants_cases():
     assert big[1] / big[0] > 10 and big[2] / big[1] > 100
 
 
+def test_stop_criterion_is_frozen_and_takes_config_names():
+    crit = StopCriterion(kind="psi", weight="lipschitz")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        crit.eps = 1.0
+    for bad in ({"kind": "proximity"}, {"weight": "lipschitz_dynamic"}):
+        with pytest.raises(ConfigError):
+            StopCriterion(**bad)
+
+
 def test_check_standard_and_proximity():
     crit = StopCriterion(kind="standard", eps=1e-10)
     rng = np.random.default_rng(6)
     states = rng.normal(size=(5, 2))
     U = _traj(states)
-    fired, value = check(crit, U, _traj(states.copy()), None)
+    fired, value = check(crit, U, _traj(states.copy()), None, 1.0)
     assert fired and value == 0.0
 
-    crit = StopCriterion(kind="proximity", eps=1e-10, w=1.0)
+    crit = StopCriterion(kind="psi", eps=1e-10)
     fine_values = states[1:].copy()
-    fired, value = check(crit, U, U, fine_values)
+    fired, value = check(crit, U, U, fine_values, 1.0)
     assert fired and value == 0.0
-    fired, value = check(crit, U, U, fine_values + 1.0)
+    fired, value = check(crit, U, U, fine_values + 1.0, 1.0)
     assert not fired and value > 0.1
 
 
@@ -158,7 +169,7 @@ def test_standard_check_skips_tiny_chunks():
     crit = StopCriterion(kind="standard", eps=1e-10)
     a = np.array([[1.0], [0.0], [2.0]])
     b = np.array([[1.0], [1e-310], [2.0]])
-    fired, value = check(crit, _traj(a), _traj(b), None)
+    fired, value = check(crit, _traj(a), _traj(b), None, 1.0)
     assert fired and value == 0.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paratime import engine
-from paratime.criteria import StopCriterion
+from paratime.criteria import WEIGHT_MODES, StopCriterion
 from paratime.engine import (TrajectoryVec, coarse_sweep,
                              fine_serial_reference, parareal_iterate,
                              parareal_solve)
@@ -122,21 +122,25 @@ def test_equal_solvers_converge_in_one_iteration(lorenz_setup):
         grid = GridSpec.make(T=2.0, N=N, xi=10, h=1e-3)
         fine = fine_propagator(grid, RK4)
         for crit in (StopCriterion("standard", 1e-12),
-                     StopCriterion("proximity", 1e-12)):
+                     StopCriterion("psi", 1e-12)):
             report = parareal_solve(system, grid, fine, fine, crit, u0)
-            assert report.K == 1 and report.converged
+            assert report.K == 1
             ref = fine_serial_reference(fine, system, grid, u0)
             assert np.array_equal(report.solution.states, ref.states)
 
 
 def test_solve_rerun_bit_identical(lorenz_setup):
+    """Two solves sharing one criterion object run alike in every weight
+    mode: the solve keeps its weight to itself."""
     system, grid, fine, coarse, u0 = lorenz_setup
-    crit = StopCriterion("proximity", 1e-9, "lipschitz_dynamic")
-    a = parareal_solve(system, grid, fine, coarse, crit, u0)
-    b = parareal_solve(system, grid, fine, coarse, crit, u0)
-    assert a.K == b.K
-    assert a.residual_history == b.residual_history
-    assert np.array_equal(a.solution.states, b.solution.states)
+    for weight in WEIGHT_MODES:
+        crit = StopCriterion("psi", 1e-9, weight, lam=0.9)
+        a = parareal_solve(system, grid, fine, coarse, crit, u0)
+        b = parareal_solve(system, grid, fine, coarse, crit, u0)
+        assert a.K == b.K
+        assert a.residual_history == b.residual_history
+        assert a.lipschitz_history == b.lipschitz_history
+        assert np.array_equal(a.solution.states, b.solution.states)
 
 
 def test_single_chunk_solves_in_one_iteration(logistic_setup):
@@ -156,7 +160,6 @@ def test_solve_report_protocol(logistic_setup):
     crit = StopCriterion("standard", 1e-12)
     report = parareal_solve(system, grid, fine, coarse, crit, u0,
                             store_iterates=True)
-    assert report.converged
     assert len(report.residual_history) == report.K
     assert report.residual_history[-1] < 1e-12
     assert len(report.iterates) == report.K + 1
@@ -168,17 +171,16 @@ def test_solve_report_protocol(logistic_setup):
 def test_solve_cap_reports_converged(lorenz_setup):
     """A run hitting the iteration cap holds the fine solution exactly."""
     system, grid, fine, coarse, u0 = lorenz_setup
-    crit = StopCriterion("proximity", 1e-300, "unit")  # can never fire
+    crit = StopCriterion("psi", 1e-300, "unit")  # can never fire
     report = parareal_solve(system, grid, fine, coarse, crit, u0)
     assert report.K == grid.N
-    assert report.converged
     ref = fine_serial_reference(fine, system, grid, u0)
     assert np.array_equal(report.solution.states, ref.states)
 
 
 def test_solve_lipschitz_history_non_decreasing(lorenz_setup):
     system, grid, fine, coarse, u0 = lorenz_setup
-    crit = StopCriterion("proximity", 1e-12, "lipschitz_dynamic")
+    crit = StopCriterion("psi", 1e-12, "lipschitz")
     report = parareal_solve(system, grid, fine, coarse, crit, u0)
     hist = report.lipschitz_history
     assert len(hist) == report.K
@@ -189,7 +191,7 @@ def test_solve_lipschitz_history_non_decreasing(lorenz_setup):
 
 def test_solve_lyapunov_mode_requires_lambda(lorenz_setup):
     system, grid, fine, coarse, u0 = lorenz_setup
-    crit = StopCriterion("proximity", 1e-9, "lyapunov", lam=None)
+    crit = StopCriterion("psi", 1e-9, "lyapunov", lam=None)
     with pytest.raises(ConfigError):
         parareal_solve(system, grid, fine, coarse, crit, u0)
 
@@ -208,7 +210,7 @@ _L96 = make_lorenz96(D=8)
 SKIP_CASES = {
     # eps never fires, so K = N and the locked prefix grows to N.
     "lorenz63": (make_lorenz63(), GridSpec.make(T=2.0, N=8, xi=10, h=1e-3),
-                 RK4, StopCriterion("proximity", 1e-300, "unit"),
+                 RK4, StopCriterion("psi", 1e-300, "unit"),
                  np.array([1.0, 1.0, 1.0])),
     # Past t ~ 30 the walk stops changing in floating point, so rows
     # repeat outside the locked prefix too.

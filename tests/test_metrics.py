@@ -189,6 +189,12 @@ def test_basin_scan_geometry():
             expected = np.hypot(grid.x_values[a] - center[0],
                                 grid.y_values[b] - center[1])
             assert grid.values[a, b] == pytest.approx(expected, rel=1e-12)
+    # the loop over candidates gives the same bits
+    for a, x in enumerate(grid.x_values):
+        for b, y in enumerate(grid.y_values):
+            cand = center.copy()
+            cand[0], cand[1] = x, y
+            assert grid.values[a, b] == np.linalg.norm(cand - center)
     # minimum sits at the grid point nearest the fine image
     amin = np.unravel_index(np.argmin(grid.values), grid.values.shape)
     assert grid.x_values[amin[0]] == pytest.approx(center[0], abs=0.5)
