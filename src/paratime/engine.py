@@ -287,7 +287,7 @@ def parareal_solve(system: OdeSystem, grid: GridSpec, fine: Propagator,
             break
         older, fine_older, U_prev = states, fine_values, U_curr
 
-    # Past the cap U^N is the fine solution by finite termination.
+    # At the cap, U^N is the fine solution by finite termination.
     return RunReport(K=len(residual_history), solution=U_curr,
                      residual_history=residual_history,
                      lipschitz_history=lipschitz_history,
