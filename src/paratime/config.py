@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import systems as systems_mod
-from .criteria import CHECK_KINDS, WEIGHT_MODES, StopCriterion
+from .criteria import StopCriterion
 from .errors import ConfigError
 from .integrators import (GridSpec, Propagator, coarse_propagator,
                           fine_propagator, get_tableau)
@@ -41,22 +41,9 @@ class SolveConfig:
     check: str = "standard"
     weight: str = "unit"
     lam: Optional[float] = None
-    w1_mode: str = "per-coordinate-mean"
-    snapshots: bool = False
 
     def validate(self) -> None:
-        if self.check not in CHECK_KINDS:
-            raise ConfigError(
-                f"check: unknown value {self.check!r}; expected one of "
-                f"{sorted(CHECK_KINDS)}")
-        if self.weight not in WEIGHT_MODES:
-            raise ConfigError(
-                f"weight: unknown value {self.weight!r}; expected one of "
-                f"{sorted(WEIGHT_MODES)}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps: must be positive, got {self.eps}")
-        if self.check == "psi" and self.weight == "lyapunov" and self.lam is None:
-            raise ConfigError("lam: required for weight=lyapunov")
+        self.resolve_criterion()
         get_tableau(self.fine)
         get_tableau(self.coarse)
         self.resolve_grid()
@@ -113,8 +100,6 @@ class SweepConfig:
     T_list: List[float] = field(default_factory=list)
     criteria: List[dict] = field(default_factory=lambda: [
         {"check": "standard", "weight": "unit"}])
-    compute_w1: bool = True
-    compute_error: bool = True
 
     def validate(self) -> None:
         if self.mode not in _MODES:

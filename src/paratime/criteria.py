@@ -34,7 +34,8 @@ _SECANT_FLOOR = 1e-14
 @dataclass(frozen=True)
 class StopCriterion:
     """Stopping rule: check kind, tolerance, weight mode and the Lyapunov
-    exponent that ``lyapunov`` weighting needs."""
+    exponent that ``lyapunov`` weighting needs.  Errors name the config
+    field (``check``, ``eps``, ``weight``, ``lam``) that holds the value."""
 
     kind: str = "standard"
     eps: float = 1e-9
@@ -43,11 +44,15 @@ class StopCriterion:
 
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
-            raise ConfigError(f"unknown check kind {self.kind!r}")
+            raise ConfigError(f"check: unknown value {self.kind!r}; "
+                              f"expected one of {sorted(CHECK_KINDS)}")
         if self.weight not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weight mode {self.weight!r}")
+            raise ConfigError(f"weight: unknown value {self.weight!r}; "
+                              f"expected one of {sorted(WEIGHT_MODES)}")
         if self.eps <= 0.0:
-            raise ConfigError(f"tolerance must be positive, got {self.eps}")
+            raise ConfigError(f"eps: must be positive, got {self.eps}")
+        if self.weight == "lyapunov" and self.lam is None:
+            raise ConfigError("lam: required for weight=lyapunov")
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,13 @@ def run_single(cfg: SolveConfig,
     fine, coarse = cfg.resolve_propagators(grid)
     criterion = cfg.resolve_criterion()
 
-    report = engine.parareal_solve(system, grid, fine, coarse, criterion, u0,
-                                   store_iterates=cfg.snapshots)
+    report = engine.parareal_solve(system, grid, fine, coarse, criterion, u0)
     if reference is None:
         reference = engine.fine_serial_reference(fine, system, grid, u0)
     report.fine_reference = reference
 
-    w1 = metrics.trajectory_w1(report.solution, reference, mode=cfg.w1_mode)
+    w1 = metrics.trajectory_w1(report.solution, reference)
     err = float(np.linalg.norm(report.solution.states - reference.states))
-    lip = report.lipschitz_history[-1] if report.lipschitz_history else float("nan")
     met = MetricsReport(K=report.K,
                         S=metrics.speedup_model(grid.N, report.K, grid.xi),
                         serial_work=metrics.serial_work(report.K, grid.dT),
@@ -138,8 +136,7 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
             report, met = run_single(cfg, reference=reference)
             rec.update(K=report.K, converged=True, S=met.S,
                        serial_work=met.serial_work,
-                       w1=met.w1 if sweep.compute_w1 else float("nan"),
-                       error_l2=met.error_l2 if sweep.compute_error else float("nan"),
+                       w1=met.w1, error_l2=met.error_l2,
                        lipschitz_final=(report.lipschitz_history[-1]
                                         if report.lipschitz_history
                                         else float("nan")))

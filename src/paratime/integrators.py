@@ -6,16 +6,18 @@ advanced in lock-step.  Elementwise arithmetic is identical whether states
 are advanced one at a time or as a batch, which is what makes the engine's
 chunk-parallel sweep schedule-independent.
 
+An implicit tableau has one stage, solved by Newton's method.
+
 Two faster steps give the same bits as the numpy step, which stays the
 reference:
 
 * A single ``(d,)`` state with a scalar start time is advanced on Python
   floats when the system supplies ``scalar_rhs`` and the tableau is
-  explicit, or has one stage and ``d == 1`` (with ``scalar_jac``): the
-  serial paths of logistic, linear and Lorenz-63.
+  explicit, or implicit with ``d == 1`` (and ``scalar_jac``): the serial
+  paths of logistic, linear and Lorenz-63.
 * Every other call goes to the compiled kernel (``_kernel.c``, built on
   first use) when the system has a ``kernel`` spec and the tableau is
-  explicit, or has one stage and ``d == 1``: the batched fine sweeps,
+  explicit, or implicit with ``d == 1``: the batched fine sweeps,
   ``parareal_iterate``'s coarse batch, and Lorenz-96 single states.  One
   foreign call advances the whole ``(n, d)`` batch over the chunk.
 
@@ -60,10 +62,10 @@ into row blocks that run on threads at once, bitwise equal to one call: on
 2 CPUs the Lorenz-96 tangent call above ran 1.7-1.9x faster and a
 ``(64, 40)`` fine sweep of 300 steps 1.1-1.6x (see ``_kernel``).
 
-Tangents on implicit tableaux, broadcast tangent blocks, multi-stage
-implicit tableaux, implicit steps with ``d > 1`` and the stepwise re-run
-that names a blow-up step use the numpy step, and so does everything when
-no C compiler is available (:func:`kernel_path` says which).
+Tangents on implicit tableaux, broadcast tangent blocks, implicit steps
+with ``d > 1`` and the stepwise re-run that names a blow-up step use the
+numpy step, and so does everything when no C compiler is available
+(:func:`kernel_path` says which).
 """
 
 from __future__ import annotations
@@ -111,6 +113,9 @@ class ButcherTableau:
         if np.max(np.abs(A.sum(axis=1) - c)) > 1e-12:
             raise ConfigError(f"tableau {self.name!r}: c must equal row sums of A")
         explicit = bool(np.all(np.triu(A) == 0.0))
+        if not explicit and s > 1:
+            raise ConfigError(f"tableau {self.name!r}: an implicit tableau "
+                              f"must have one stage, got {s}")
         object.__setattr__(self, "is_explicit", explicit)
 
     @property
@@ -280,27 +285,6 @@ def _stage_failure(residual, maxiter) -> StepFailureError:
         f"(max residual {residual:.3e})", residual=float(residual))
 
 
-def _assemble_newton_matrix(tableau, system, t, Y, h):
-    """I - h (A (x) J) with J evaluated per stage at the current stage values."""
-    A, c = tableau.A, tableau.c
-    s = tableau.s
-    d = Y.shape[-1]
-    batch = Y.shape[:-2]
-    J = np.empty(batch + (s, d, d))
-    for j in range(s):
-        J[..., j, :, :] = system.jac(t + c[j] * h, Y[..., j, :])
-    M = np.zeros(batch + (s * d, s * d))
-    eye = np.eye(d)
-    for i in range(s):
-        for j in range(s):
-            blk = M[..., i * d:(i + 1) * d, j * d:(j + 1) * d]
-            if A[i, j] != 0.0:
-                blk -= (h * A[i, j]) * J[..., j, :, :]
-            if i == j:
-                blk += eye
-    return M, J
-
-
 def _solve_small(M, rhs):
     """Batched linear solve of M x = rhs for matrix-shaped rhs.
 
@@ -312,9 +296,9 @@ def _solve_small(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def _step_implicit_single_stage(tableau, system, t, u, h, tangent,
-                                tol, maxiter):
-    """One-stage implicit step (e.g. backward Euler) without stage stacking."""
+def _step_implicit(tableau, system, t, u, h, tangent, tol=NEWTON_TOL,
+                   maxiter=NEWTON_MAXITER):
+    """One-stage implicit step (e.g. backward Euler), Newton on the stage."""
     a00 = tableau.A[0, 0]
     b0 = tableau.b[0]
     ts = t + tableau.c[0] * h
@@ -344,64 +328,6 @@ def _step_implicit_single_stage(tableau, system, t, u, h, tangent,
     M = eye - (h * a00) * J
     G = _solve_small(M, tangent)
     return u_next, tangent + (h * b0) * (J @ G)
-
-
-def _step_implicit(tableau, system, t, u, h, tangent,
-                   tol=NEWTON_TOL, maxiter=NEWTON_MAXITER):
-    """One implicit RK step: Newton iteration on the stacked stage values."""
-    A, b, c = tableau.A, tableau.b, tableau.c
-    s = tableau.s
-    if s == 1:
-        return _step_implicit_single_stage(tableau, system, t, u, h, tangent,
-                                           tol, maxiter)
-    d = u.shape[-1]
-    batch = u.shape[:-1]
-
-    Y = np.repeat(u[..., np.newaxis, :], s, axis=-2)
-    F = np.empty_like(Y)
-    scale = np.maximum(1.0, np.max(np.abs(u), axis=-1))
-    tol_eff = tol * scale
-
-    converged = np.zeros(batch, dtype=bool)
-    for _ in range(maxiter):
-        for j in range(s):
-            F[..., j, :] = system.rhs(t + c[j] * h, Y[..., j, :])
-        R = Y - u[..., np.newaxis, :] - h * np.einsum("ij,...jd->...id", A, F)
-        res = np.max(np.abs(R), axis=(-2, -1))
-        converged = res <= tol_eff
-        if np.all(converged):
-            break
-        M, _ = _assemble_newton_matrix(tableau, system, t, Y, h)
-        if s * d == 1:
-            delta = (-R.reshape(batch + (1,)) / M[..., 0]).reshape(Y.shape)
-        else:
-            delta = np.linalg.solve(M, -R.reshape(batch + (s * d,))[..., np.newaxis])
-            delta = delta[..., 0].reshape(batch + (s, d))
-        # Converged batch elements are frozen so their arithmetic path does
-        # not depend on what the rest of the batch is doing.
-        if np.all(~converged):
-            Y = Y + delta
-        else:
-            mask = (~converged)[..., np.newaxis, np.newaxis]
-            Y = np.where(mask, Y + delta, Y)
-    else:
-        raise _stage_failure(np.max(res), maxiter)
-
-    u_next = u + h * np.einsum("i,...id->...d", b, F)
-    if tangent is None:
-        return u_next, None
-
-    # Stage tangents solve the linearized stage equations at the converged Y.
-    M, J = _assemble_newton_matrix(tableau, system, t, Y, h)
-    m = tangent.shape[-1]
-    rhs = np.concatenate([tangent] * s, axis=-2)
-    if s * d == 1:
-        G = rhs.reshape(batch + (s * d, m)) / M[..., 0:1]
-    else:
-        G = np.linalg.solve(M, rhs.reshape(batch + (s * d, m)))
-    G = G.reshape(batch + (s, d, m))
-    t_next = tangent + h * np.einsum("i,...idm->...dm", b, J @ G)
-    return u_next, t_next
 
 
 def rk_step(tableau: ButcherTableau, system: OdeSystem, t, u: Array,
@@ -467,7 +393,7 @@ def _float_step_explicit(rhs, coeffs, t, u):
 def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
                          maxiter=NEWTON_MAXITER):
     """One single-stage implicit step for ``d == 1`` on floats; mirrors
-    :func:`_step_implicit_single_stage`, failure included."""
+    :func:`_step_implicit`, failure included."""
     # One stage (c_0 h, its one coefficient h A_00) and one weight h b_0.
     ((ch, ((_, ha),)),), ((_, hb),) = coeffs
     rhs, jac = system.scalar_rhs, system.scalar_jac
@@ -499,10 +425,9 @@ def _float_kernel(prop: Propagator, system: OdeSystem, t0, u):
             or not isinstance(u, np.ndarray) or u.dtype != np.float64
             or u.shape != (system.dim,)):
         return None
-    tableau = prop.tableau
-    if tableau.is_explicit:
+    if prop.tableau.is_explicit:
         return partial(_float_step_explicit, system.scalar_rhs, prop.float_coeffs)
-    if tableau.s == 1 and system.dim == 1 and system.scalar_jac is not None:
+    if system.dim == 1 and system.scalar_jac is not None:
         return partial(_float_step_implicit, system, prop.float_coeffs)
     return None
 
@@ -513,8 +438,7 @@ def _compiled_kernel(prop: Propagator, system: OdeSystem, u):
     if (system.kernel is None or not isinstance(u, np.ndarray)
             or u.dtype != np.float64 or u.ndim == 0 or u.size == 0
             or u.shape[-1] != system.dim
-            or not (tableau.is_explicit
-                    or (tableau.s == 1 and system.dim == 1))):
+            or not (tableau.is_explicit or system.dim == 1)):
         return None
     try:
         return prop._compiled[system.kernel]

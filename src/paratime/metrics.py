@@ -67,24 +67,20 @@ def wasserstein1(a, b) -> float:
     return float(np.sum(widths * np.abs(qa - qb)))
 
 
-def trajectory_w1(U, ref, mode: str = "per-coordinate-mean") -> float:
+def trajectory_w1(U, ref) -> float:
     """Scalar distributional distance between two trajectories.
 
     Compares the N interface states (the initial state is shared by
-    construction) coordinate by coordinate.  ``per-coordinate-mean`` averages
-    the per-coordinate distances; ``first-coordinate`` uses coordinate 0 only.
+    construction) coordinate by coordinate and averages the per-coordinate
+    distances.
     """
     a = np.asarray(getattr(U, "states", U))
     b = np.asarray(getattr(ref, "states", ref))
     if a.shape != b.shape:
         raise ConfigError(f"trajectory_w1: shape mismatch {a.shape} vs {b.shape}")
     a, b = a[1:], b[1:]
-    if mode == "first-coordinate":
-        return wasserstein1(a[:, 0], b[:, 0])
-    if mode == "per-coordinate-mean":
-        d = a.shape[1]
-        return float(np.mean([wasserstein1(a[:, i], b[:, i]) for i in range(d)]))
-    raise ConfigError(f"trajectory_w1: unknown mode {mode!r}")
+    return float(np.mean([wasserstein1(a[:, i], b[:, i])
+                          for i in range(a.shape[1])]))
 
 
 def speedup_model(N: int, K: int, xi: int) -> float:

@@ -4,6 +4,8 @@ Each system is a plain container of callables.  Right-hand sides and
 Jacobians are vectorized over leading axes: ``rhs(t, u)`` accepts ``u``
 of shape ``(..., d)`` and returns the same shape, ``jac(t, u)`` returns
 ``(..., d, d)``.  All built-in systems are autonomous and ignore ``t``.
+A system carries no Lyapunov exponent: a ``lyapunov`` weight takes its
+``lam`` from the run config (the presets use ``LORENZ63_LAMBDA``).
 
 ``jvp(t, u, G)`` applies the derivative of ``rhs`` at ``u`` to a tangent
 block ``G`` of shape ``(..., d, m)`` without forming the Jacobian; tangent
@@ -47,19 +49,13 @@ def _dense_jvp(jac, t, u, G):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """An autonomous ODE u' = f(u) with analytic Jacobian.
-
-    ``known_lambda`` is the leading Lyapunov exponent per unit time, when a
-    reliable literature value exists; it is informational only and never
-    used implicitly by solvers.
-    """
+    """An autonomous ODE u' = f(u) with analytic Jacobian."""
 
     name: str
     dim: int
     params: dict = field(default_factory=dict)
     rhs: Callable[[float, Array], Array] = None
     jac: Callable[[float, Array], Array] = None
-    known_lambda: Optional[float] = None
     # Optional tangent product, float kernels and compiled-kernel spec
     # ``(code, params)``; a system built with ``dataclasses.replace`` keeps
     # them, so replace them too when the dynamics change.  The default
@@ -95,7 +91,7 @@ def make_logistic() -> OdeSystem:
         return 1.0 - 2.0 * x
 
     return OdeSystem(name="logistic", dim=1, params={}, rhs=rhs, jac=jac,
-                     known_lambda=-1.0, jvp=jvp, scalar_rhs=scalar_rhs,
+                     jvp=jvp, scalar_rhs=scalar_rhs,
                      scalar_jac=scalar_jac, kernel=("logistic", ()))
 
 
@@ -121,7 +117,7 @@ def make_linear(a: float = 1.0) -> OdeSystem:
         return float(a)
 
     return OdeSystem(name="linear", dim=1, params={"a": a}, rhs=rhs, jac=jac,
-                     known_lambda=a, jvp=jvp, scalar_rhs=scalar_rhs,
+                     jvp=jvp, scalar_rhs=scalar_rhs,
                      scalar_jac=scalar_jac, kernel=("linear", (a,)))
 
 
@@ -165,8 +161,7 @@ def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
 
     return OdeSystem(name="lorenz63", dim=3,
                      params={"sigma": sigma, "rho": rho, "b": b},
-                     rhs=rhs, jac=jac, jvp=jvp, known_lambda=0.9056,
-                     scalar_rhs=scalar_rhs,
+                     rhs=rhs, jac=jac, jvp=jvp, scalar_rhs=scalar_rhs,
                      kernel=("lorenz63", (sigma, rho, b)))
 
 
@@ -212,11 +207,8 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
 
     # No float kernels: at d = 40 a step on Python lists is slower than the
     # array step; single states take the compiled kernel.
-    # known_lambda: literature value for the standard D=40, F=8 setup.
-    lam = 1.67 if (D == 40 and F == 8.0) else None
     return OdeSystem(name="lorenz96", dim=D, params={"D": D, "F": F},
-                     rhs=rhs, jac=jac, jvp=jvp, known_lambda=lam,
-                     kernel=("lorenz96", (F,)))
+                     rhs=rhs, jac=jac, jvp=jvp, kernel=("lorenz96", (F,)))
 
 
 _BUILDERS = {

@@ -53,6 +53,14 @@ def test_solve_validation_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_solve_lyapunov_weight_without_lam_names_lam(capsys):
+    code = main(["solve", "--system", "lorenz63", "--T", "0.4", "--N", "4",
+                 "--xi", "10", "--h", "0.01", "--check", "standard",
+                 "--weight", "lyapunov"])
+    assert code == 1
+    assert "configuration error: lam: " in capsys.readouterr().err
+
+
 def test_solve_numerical_failure_exit_code(capsys):
     # explicit Euler coarse at H = 0.4 on a fast chaotic system blows up
     code = main(["solve", "--system", "lorenz63", "--u0", "13.8,13.0,34.9",

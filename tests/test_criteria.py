@@ -144,8 +144,10 @@ def test_stop_criterion_is_frozen_and_takes_config_names():
     crit = StopCriterion(kind="psi", weight="lipschitz")
     with pytest.raises(dataclasses.FrozenInstanceError):
         crit.eps = 1.0
-    for bad in ({"kind": "proximity"}, {"weight": "lipschitz_dynamic"}):
-        with pytest.raises(ConfigError):
+    for bad, field in (({"kind": "proximity"}, "check"),
+                       ({"weight": "lipschitz_dynamic"}, "weight"),
+                       ({"eps": 0.0}, "eps"), ({"weight": "lyapunov"}, "lam")):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
             StopCriterion(**bad)
 
 

@@ -189,11 +189,10 @@ def test_solve_lipschitz_history_non_decreasing(lorenz_setup):
     assert all(v >= 1.0 for v in hist)
 
 
-def test_solve_lyapunov_mode_requires_lambda(lorenz_setup):
-    system, grid, fine, coarse, u0 = lorenz_setup
-    crit = StopCriterion("psi", 1e-9, "lyapunov", lam=None)
-    with pytest.raises(ConfigError):
-        parareal_solve(system, grid, fine, coarse, crit, u0)
+def test_solve_lyapunov_mode_requires_lambda():
+    for check in ("psi", "standard"):
+        with pytest.raises(ConfigError, match="^lam: "):
+            StopCriterion(check, 1e-9, "lyapunov", lam=None)
 
 
 def test_idempotence_on_solution(lorenz_setup):

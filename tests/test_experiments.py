@@ -65,6 +65,20 @@ def test_config_yaml_round_trip(tmp_path):
     assert load_solve_config(str(path2)).to_dict() == cfg.to_dict()
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_shipped_config_files_load_and_validate(name):
+    """A file with a ``base`` key is a sweep, any other a single run."""
+    path = os.path.join(CONFIG_DIR, name)
+    with open(path) as fh:
+        is_sweep = "base" in yaml.safe_load(fh)
+    load = load_sweep_config if is_sweep else load_solve_config
+    assert isinstance(load(path), SweepConfig if is_sweep else SolveConfig)
+
+
 def test_import_leaves_yaml_unloaded():
     """Only reading or writing a config file loads the YAML parser."""
     import paratime

@@ -40,6 +40,12 @@ def test_tableau_validation_rejects_bad_weights():
         ButcherTableau(name="bad", A=[[0.25]], b=[1.0], c=[0.0], order=1)
 
 
+def test_multi_stage_implicit_tableau_is_rejected():
+    with pytest.raises(ConfigError, match="'midpoint_implicit'.*one stage"):
+        ButcherTableau(name="midpoint_implicit", A=[[0.25, 0.0], [0.5, 0.25]],
+                       b=[0.5, 0.5], c=[0.25, 0.75], order=2)
+
+
 def test_classical_dot_products():
     # b.c products used by the curvature-mismatch constant.
     assert RK4.b @ RK4.c == pytest.approx(0.5)
@@ -359,8 +365,8 @@ def test_kernel_bitwise_equal_to_rk_step(name, tab, shape):
 def test_kernel_path_choice():
     """Single states of float-kernel systems take the float step; batches,
     Lorenz-96 states and one-stage implicit steps with d == 1 the compiled
-    kernel; d > 1 implicit, multi-stage implicit, float32 input and systems
-    without a kernel spec stay on numpy."""
+    kernel; d > 1 implicit, float32 input and systems without a kernel spec
+    stay on numpy."""
     l63, l96, logistic = make_lorenz63(), make_lorenz96(), make_logistic()
     rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
     implicit = Propagator(tableau=IMPLICIT_EULER, step=0.01, steps_per_call=3)
@@ -375,12 +381,6 @@ def test_kernel_path_choice():
     assert _compiled_kernel(implicit, l63, u3[None]) is None
     assert _compiled_kernel(rk4, array_only(l63), u3[None]) is None
     assert _compiled_kernel(rk4, l63, u3[None].astype(np.float32)) is None
-    two_stage = ButcherTableau(name="midpoint_implicit", A=[[0.25, 0.0],
-                                                            [0.5, 0.25]],
-                               b=[0.5, 0.5], c=[0.25, 0.75], order=2)
-    assert _compiled_kernel(Propagator(tableau=two_stage, step=0.01,
-                                       steps_per_call=1),
-                            logistic, np.array([[0.5]])) is None
 
 
 def test_kernel_loads_where_a_compiler_exists():

@@ -93,7 +93,7 @@ def test_wasserstein_translation_covariance():
     assert wasserstein1(a, b) == pytest.approx(10.0)
 
 
-def test_trajectory_w1_modes():
+def test_trajectory_w1_per_coordinate_mean():
     rng = np.random.default_rng(5)
     states = rng.normal(size=(9, 3))
     ref = rng.normal(size=(9, 3))
@@ -103,10 +103,6 @@ def test_trajectory_w1_modes():
     expected = np.mean([wasserstein1(states[1:, i], ref[1:, i])
                         for i in range(3)])
     assert per == pytest.approx(expected)
-    first = trajectory_w1(U, R, mode="first-coordinate")
-    assert first == pytest.approx(wasserstein1(states[1:, 0], ref[1:, 0]))
-    with pytest.raises(ConfigError):
-        trajectory_w1(U, R, mode="sliced")
 
 
 def test_trajectory_w1_scalar_system_reduces():
