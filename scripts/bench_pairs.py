@@ -11,7 +11,8 @@ once on each side, the side that goes first alternating from pair to pair.  For 
 side the file holds the median and quartiles over the pairs, and the change's
 wins, losses and ties against the base, "better" read from
 ``BENCHMARK.json``.  It also records the seed, the CPU count, the numpy
-version and the kernel path, and every run's metrics.
+version and the kernel path, and every run's metrics beside its round count
+(``rounds``: more rounds in a run of fixed length can raise its peak RSS).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -70,13 +72,23 @@ def summarize(pairs, better: dict) -> dict:
     return out
 
 
+def rounds(stdout: str) -> int | None:
+    """The ``rounds=`` count of the ``# workload=`` line that
+    ``perfbench/run.py`` prints; None when there is no such line."""
+    found = re.search(r"^# workload=.* rounds=(\d+)", stdout, re.MULTILINE)
+    return int(found.group(1)) if found else None
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in ``checkout``; its last JSON line."""
+    """One benchmark run in ``checkout``: its last JSON line, and its round
+    count under ``rounds``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["rounds"] = rounds(done.stdout)
+    return result
 
 
 def export(rev: str, folder: Path) -> None:
@@ -134,7 +146,8 @@ def main(argv=None) -> int:
                       f"{wall['change']}", flush=True)
             result["workloads"][workload] = summarize(pairs, better)
             result["runs"][workload] = [
-                {side: {k: v["value"] for k, v in p[j]["metrics"].items()}
+                {side: {"rounds": p[j]["rounds"],
+                        **{k: v["value"] for k, v in p[j]["metrics"].items()}}
                  for j, side in enumerate(SIDES)} for p in pairs]
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -34,6 +34,12 @@ CC = "cc"
 # Every multiply and add rounded on its own, as numpy rounds them.
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
+# The one-stage Newton solve, on every path: stop once the stage residual is
+# at most NEWTON_TOL * max(1, |u|), so that large-amplitude systems are not
+# asked to beat the rounding floor; fail after NEWTON_MAXITER iterations.
+NEWTON_TOL = 1e-14
+NEWTON_MAXITER = 50
+
 # The system codes of ``_kernel.c``, in its order.
 SYSTEMS = ("logistic", "linear", "lorenz63", "lorenz96")
 # Its return codes.
@@ -159,8 +165,7 @@ def _combine(codes) -> int:
     return OK
 
 
-def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int,
-           tol: float, maxiter: int):
+def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
     """A function advancing a float64 ``(..., d)`` array by ``steps`` steps.
 
     ``kernel`` is a system's ``(code, params)`` and ``coeffs`` a
@@ -182,7 +187,8 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int,
 
     if implicit:
         ((_, ((_, ha),)),), ((_, hb),) = coeffs
-        call = partial(lib.pt_implicit1, *head, steps, ha, hb, tol, maxiter)
+        call = partial(lib.pt_implicit1, *head, steps, ha, hb, NEWTON_TOL,
+                       NEWTON_MAXITER)
 
         def run(u):
             out = u.copy()

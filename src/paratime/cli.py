@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 
 from . import _kernel
 from . import bounds as bounds_mod
 from . import engine, experiments, integrators, metrics
-from .config import SolveConfig, SweepConfig, load_sweep_config, read_config_file
+from .config import SolveConfig, SweepConfig, load_config
 from .errors import BlowUpError, ConfigError, StepFailureError
 from .presets import PRESETS
 
@@ -26,13 +25,11 @@ def _parse_floats(text):
 
 
 def _solve_overrides(args):
-    over = {"system": args.system, "T": args.T, "N": args.N, "xi": args.xi,
+    return {"system": args.system, "T": args.T, "N": args.N, "xi": args.xi,
             "h": args.h, "L": args.L, "eps": args.eps, "check": args.check,
             "weight": args.weight, "lam": args.lam, "fine": args.fine,
-            "coarse": args.coarse}
-    if args.u0:
-        over["u0"] = _parse_floats(args.u0)
-    return over
+            "coarse": args.coarse,
+            "u0": _parse_floats(args.u0) if args.u0 else None}
 
 
 def _add_solve_args(p):
@@ -56,17 +53,8 @@ def _add_solve_args(p):
 
 def _solve_config(args) -> SolveConfig:
     """The preset or config file, overridden by the flags; not validated."""
-    if args.preset:
-        base = PRESETS[args.preset]
-        if not isinstance(base, SolveConfig):
-            raise ConfigError(f"preset {args.preset!r} is a sweep preset")
-        data = base.to_dict()
-    elif args.config:
-        data = read_config_file(args.config)
-    else:
-        data = {}
-    data.update({k: v for k, v in _solve_overrides(args).items() if v is not None})
-    return SolveConfig.from_dict(data)
+    return load_config(SolveConfig, args.preset, args.config,
+                       _solve_overrides(args))
 
 
 def _build_solve_config(args) -> SolveConfig:
@@ -76,7 +64,7 @@ def _build_solve_config(args) -> SolveConfig:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _build_solve_config(args)
+    cfg = _solve_config(args)
     report, met = experiments.run_single(cfg)
     grid = cfg.resolve_grid()
     print(f"system={cfg.system} N={grid.N} T={grid.T:g} dT={grid.dT:g} "
@@ -102,25 +90,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    over = {}
-    if args.mode:
-        over["mode"] = args.mode
-    if args.N_list:
-        over["N_list"] = [int(v) for v in _parse_floats(args.N_list)]
-    if args.T_list:
-        over["T_list"] = _parse_floats(args.T_list)
-    if args.preset:
-        base = PRESETS[args.preset]
-        if not isinstance(base, SweepConfig):
-            raise ConfigError(f"preset {args.preset!r} is not a sweep preset")
-        data = base.to_dict()
-        data.update(over)
-        sweep = SweepConfig.from_dict(data)
-        sweep.validate()
-    elif args.config:
-        sweep = load_sweep_config(args.config, over)
-    else:
+    if not (args.preset or args.config):
         raise ConfigError("sweep needs --config or --preset")
+    over = {"mode": args.mode,
+            "N_list": ([int(v) for v in _parse_floats(args.N_list)]
+                       if args.N_list else None),
+            "T_list": _parse_floats(args.T_list) if args.T_list else None}
+    sweep = load_config(SweepConfig, args.preset, args.config, over)
     text = experiments.run_sweep(sweep, args.out)
     if not args.out:
         sys.stdout.write(text)

@@ -1,7 +1,8 @@
 """Run and sweep configuration: parsing, validation, resolution.
 
 Configs are plain nested key-value documents (YAML on disk, dicts in
-memory).  Precedence is command line > file > defaults; every numerical
+memory).  Precedence is flags that are set > preset or file > defaults, in
+:func:`load_config`, the one path from either to a config; every numerical
 object (system, grid, propagators, criterion) is resolved through here so a
 config fully determines a run.
 """
@@ -139,8 +140,7 @@ class SweepConfig:
                 yield cfg, check, weight
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -161,20 +161,27 @@ def read_config_file(path: str) -> dict:
         return yaml.safe_load(fh) or {}
 
 
-def load_solve_config(path: str, overrides: dict | None = None) -> SolveConfig:
-    data = read_config_file(path)
-    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    cfg = SolveConfig.from_dict(data)
-    cfg.validate()
-    return cfg
+def load_config(cls, preset: str | None = None, path: str | None = None,
+                overrides: dict | None = None):
+    """A ``cls`` config (``SolveConfig`` or ``SweepConfig``), not validated.
 
+    It starts from the named preset, else the YAML file at ``path``, else the
+    defaults; every override that is not None then replaces its key.
+    """
+    if preset:
+        from .presets import PRESETS  # presets builds its configs from here
 
-def load_sweep_config(path: str, overrides: dict | None = None) -> SweepConfig:
-    data = read_config_file(path)
+        base = PRESETS[preset]
+        if not isinstance(base, cls):
+            kind = "sweep" if cls is SweepConfig else "single-run"
+            raise ConfigError(f"preset: {preset!r} is not a {kind} preset")
+        data = base.to_dict()
+    elif path:
+        data = read_config_file(path)
+    else:
+        data = {}
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    cfg = SweepConfig.from_dict(data)
-    cfg.validate()
-    return cfg
+    return cls.from_dict(data)
 
 
 def dump_config(cfg, path: str) -> None:

@@ -14,11 +14,12 @@ passes it to ``check``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 
 Array = np.ndarray
 
@@ -49,10 +50,11 @@ class StopCriterion:
         if self.weight not in WEIGHT_MODES:
             raise ConfigError(f"weight: unknown value {self.weight!r}; "
                               f"expected one of {sorted(WEIGHT_MODES)}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"eps: must be positive, got {self.eps}")
-        if self.weight == "lyapunov" and self.lam is None:
-            raise ConfigError("lam: required for weight=lyapunov")
+        require_positive("eps", self.eps)
+        if self.weight == "lyapunov" and not (isinstance(self.lam, Real)
+                                              and np.isfinite(self.lam)):
+            raise ConfigError(f"lam: weight=lyapunov needs a finite exponent, "
+                              f"got {self.lam!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+from math import inf
+from numbers import Real
+
 
 class ParatimeError(Exception):
     """Base class for all library errors."""
@@ -10,6 +13,13 @@ class ConfigError(ParatimeError):
 
     Carries a human-readable message naming the offending field.
     """
+
+
+def require_positive(field: str, value) -> None:
+    """Raise a ConfigError naming ``field`` unless ``value`` is a finite
+    number > 0 (None, strings, nan and inf fail)."""
+    if not (isinstance(value, Real) and 0.0 < value < inf):
+        raise ConfigError(f"{field}: must be positive and finite, got {value!r}")
 
 
 class StepFailureError(ParatimeError):

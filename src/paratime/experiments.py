@@ -48,7 +48,6 @@ def run_single(cfg: SolveConfig,
     ``reference`` short-circuits the serial fine solve when the caller
     already holds it (sweeps share one reference across rows).
     """
-    cfg.validate()
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
     grid = cfg.resolve_grid()
@@ -110,7 +109,8 @@ class _ReferenceCache:
 
 
 def run_sweep(sweep: SweepConfig, out_path: str) -> str:
-    """Run every row of a sweep and write the CSV; returns the path.
+    """Run every row of a sweep, write the CSV to ``out_path`` if given and
+    return its text.
 
     A row that fails numerically is recorded with ``converged=false`` and the
     error message in the last column; the sweep continues.
@@ -121,9 +121,9 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
     base = sweep.base
     system = base.resolve_system()
     u0 = base.resolve_u0(system)
-    ref_cache = _ReferenceCache(system, get_tableau(base.fine),
-                                _common_h(rows), u0,
-                                [cfg.resolve_grid() for cfg, _, _ in rows])
+    # rows() gives every row the base h and derives its L: one walk serves all.
+    ref_cache = _ReferenceCache(system, get_tableau(base.fine), float(base.h),
+                                u0, [cfg.resolve_grid() for cfg, _, _ in rows])
 
     records = []
     for cfg, check, weight in rows:
@@ -159,20 +159,9 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
     return data
 
 
-def _common_h(rows) -> float:
-    hs = {cfg.resolve_grid().h for cfg, _, _ in rows}
-    if len(hs) != 1:
-        raise ConfigError("sweep rows must share a single fine step h")
-    return hs.pop()
-
-
-def read_sweep_csv(path_or_text: str) -> List[dict]:
-    """Parse a sweep CSV back into typed records."""
-    if "\n" in path_or_text:
-        fh = io.StringIO(path_or_text)
-    else:
-        fh = open(path_or_text)
-    with fh:
+def read_sweep_csv(path: str) -> List[dict]:
+    """Parse a sweep CSV file back into typed records."""
+    with open(path) as fh:
         rows = list(csv.DictReader(fh))
     out = []
     for r in rows:

@@ -6,7 +6,9 @@ advanced in lock-step.  Elementwise arithmetic is identical whether states
 are advanced one at a time or as a batch, which is what makes the engine's
 chunk-parallel sweep schedule-independent.
 
-An implicit tableau has one stage, solved by Newton's method.
+An implicit tableau has one stage, solved by Newton's method to the
+tolerance and iteration limit that ``_kernel`` defines for every path
+(``NEWTON_TOL``, ``NEWTON_MAXITER``).
 
 Two faster steps give the same bits as the numpy step, which stays the
 reference:
@@ -76,15 +78,12 @@ from functools import partial
 import numpy as np
 
 from . import _kernel
-from .errors import BlowUpError, ConfigError, StepFailureError
+from ._kernel import NEWTON_MAXITER, NEWTON_TOL
+from .errors import (BlowUpError, ConfigError, StepFailureError,
+                     require_positive)
 from .systems import OdeSystem
 
 Array = np.ndarray
-
-# Implicit stage solves: residual tolerance is scaled by the state magnitude
-# so large-amplitude systems are not asked to beat the rounding floor.
-NEWTON_TOL = 1e-14
-NEWTON_MAXITER = 50
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,17 @@ class GridSpec:
         """Resolve the grid from T, N, xi and exactly one of h, L.
 
         If both are given they must be consistent; the one omitted is derived.
+        Errors name the config field that holds the bad value.
         """
-        if N < 1:
-            raise ConfigError(f"grid: N must be >= 1, got {N}")
-        dT = T / N
+        require_positive("T", T)
+        if h is not None:
+            require_positive("h", h)
+        for name, value in (("N", N), ("xi", xi), ("L", L)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {value}")
         if h is None and L is None:
             raise ConfigError("grid: provide at least one of h, L")
+        dT = T / N
         if L is None:
             L_float = dT / (xi * h)
             L = int(round(L_float))
@@ -279,9 +283,9 @@ def _step_explicit(tableau, system, t, u, h, tangent):
     return u_next, t_next
 
 
-def _stage_failure(residual, maxiter) -> StepFailureError:
+def _stage_failure(residual) -> StepFailureError:
     return StepFailureError(
-        f"implicit stage solve did not converge in {maxiter} iterations "
+        f"implicit stage solve did not converge in {NEWTON_MAXITER} iterations "
         f"(max residual {residual:.3e})", residual=float(residual))
 
 
@@ -296,8 +300,7 @@ def _solve_small(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def _step_implicit(tableau, system, t, u, h, tangent, tol=NEWTON_TOL,
-                   maxiter=NEWTON_MAXITER):
+def _step_implicit(tableau, system, t, u, h, tangent):
     """One-stage implicit step (e.g. backward Euler), Newton on the stage."""
     a00 = tableau.A[0, 0]
     b0 = tableau.b[0]
@@ -305,8 +308,8 @@ def _step_implicit(tableau, system, t, u, h, tangent, tol=NEWTON_TOL,
     d = u.shape[-1]
     eye = np.eye(d)
     y = u.copy()
-    tol_eff = tol * np.maximum(1.0, np.max(np.abs(u), axis=-1))
-    for _ in range(maxiter):
+    tol_eff = NEWTON_TOL * np.maximum(1.0, np.max(np.abs(u), axis=-1))
+    for _ in range(NEWTON_MAXITER):
         f = system.rhs(ts, y)
         R = y - u - (h * a00) * f
         res = np.max(np.abs(R), axis=-1)
@@ -320,7 +323,7 @@ def _step_implicit(tableau, system, t, u, h, tangent, tol=NEWTON_TOL,
         else:
             y = np.where(converged[..., np.newaxis], y, y + delta)
     else:
-        raise _stage_failure(np.max(res), maxiter)
+        raise _stage_failure(np.max(res))
     u_next = u + (h * b0) * f
     if tangent is None:
         return u_next, None
@@ -390,8 +393,7 @@ def _float_step_explicit(rhs, coeffs, t, u):
     return u
 
 
-def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
-                         maxiter=NEWTON_MAXITER):
+def _float_step_implicit(system, coeffs, t, u):
     """One single-stage implicit step for ``d == 1`` on floats; mirrors
     :func:`_step_implicit`, failure included."""
     # One stage (c_0 h, its one coefficient h A_00) and one weight h b_0.
@@ -400,8 +402,8 @@ def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
     ts = t + ch
     (u,) = u
     y = u
-    tol_eff = tol * max(1.0, abs(u))
-    for _ in range(maxiter):
+    tol_eff = NEWTON_TOL * max(1.0, abs(u))
+    for _ in range(NEWTON_MAXITER):
         f = rhs(ts, (y,))[0]
         R = y - u - ha * f
         res = abs(R)
@@ -415,7 +417,7 @@ def _float_step_implicit(system, coeffs, t, u, tol=NEWTON_TOL,
             delta = float(np.float64(-R) / M)
         y = y + delta
     else:
-        raise _stage_failure(res, maxiter)
+        raise _stage_failure(res)
     return [u + hb * f]
 
 
@@ -445,7 +447,7 @@ def _compiled_kernel(prop: Propagator, system: OdeSystem, u):
     except KeyError:
         run = prop._compiled[system.kernel] = _kernel.runner(
             system.kernel, prop.float_coeffs, not tableau.is_explicit,
-            prop.steps_per_call, NEWTON_TOL, NEWTON_MAXITER)
+            prop.steps_per_call)
         return run
 
 
@@ -477,7 +479,7 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     elif compiled is not None:
         out, status, res = compiled(u)
         if status == _kernel.NEWTON_FAILED:
-            raise _stage_failure(np.max(res), NEWTON_MAXITER)
+            raise _stage_failure(np.max(res))
         if status == _kernel.NO_MEMORY:
             raise MemoryError("compiled kernel: out of memory")
         finite = status == _kernel.OK

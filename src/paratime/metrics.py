@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
-from .integrators import (Propagator, get_tableau, propagate,
-                          propagate_with_tangent)
+from .integrators import RK4, Propagator, propagate, propagate_with_tangent
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -102,8 +101,8 @@ def serial_work(K: int, dT: float) -> float:
 
 def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
                       horizon: float, renorm_interval: float,
-                      h: float = 1e-3, tableau: str = "rk4") -> float:
-    """Leading Lyapunov exponent by tangent propagation with renormalization.
+                      h: float = 1e-3) -> float:
+    """Leading Lyapunov exponent by RK4 tangent propagation with renormalization.
 
     A unit tangent vector rides the variational dynamics alongside the state;
     its log-growth is harvested and the vector rescaled every
@@ -115,14 +114,13 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
                           "renorm_interval and h")
     steps_per_block = max(1, int(round(renorm_interval / h)))
     blocks = max(1, int(round(horizon / (steps_per_block * h))))
-    tab = get_tableau(tableau)
-    block_prop = Propagator(tableau=tab, step=h, steps_per_call=steps_per_block)
+    block_prop = Propagator(tableau=RK4, step=h, steps_per_call=steps_per_block)
 
     u = np.asarray(u0, dtype=float)
     if spinup > 0.0:
         spin_steps = int(round(spinup / h))
         if spin_steps > 0:
-            u = propagate(Propagator(tableau=tab, step=h,
+            u = propagate(Propagator(tableau=RK4, step=h,
                                      steps_per_call=spin_steps),
                           system, 0.0, u)
 

@@ -49,3 +49,13 @@ def test_summary_reads_higher_is_better(bench_pairs):
     wall = got["metrics"]["wall_s"]
     assert (wall["wins"], wall["losses"]) == (1, 0)
     assert wall["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_rounds_read_from_the_workload_line(bench_pairs):
+    stdout = ("# nproc=2 python=3.11.7 numpy=2.4.6 OMP_NUM_THREADS=1\n"
+              "# workload=l63-horizon-sweep seed=0 rounds=12 untraced + 0 "
+              "traced, attempted=24 failed=0\n"
+              "# round wall_s: 0.4210 0.4190\n"
+              '{"correct": true, "attempted": 24, "failed": 0, "metrics": {}}\n')
+    assert bench_pairs.rounds(stdout) == 12
+    assert bench_pairs.rounds("# round wall_s: 0.42 rounds=3\n") is None

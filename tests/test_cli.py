@@ -53,6 +53,27 @@ def test_solve_validation_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_set_flags_override_the_file_and_unset_flags_keep_it(tmp_path,
+                                                           capsys):
+    path = write_small_config(tmp_path)  # N=8, eps=1e-10
+    assert main(["solve", "--config", path, "--N", "4"]) == 0
+    out = capsys.readouterr().out
+    assert " N=4 " in out and " eps=1e-10" in out
+
+
+def test_solve_zero_step_is_a_configuration_error(capsys):
+    assert main(["solve", "--preset", "logistic-single", "--h", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: h: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("solve", "table-logistic-strong"), ("sweep", "lorenz63-single")])
+def test_preset_of_the_wrong_kind_names_it(command, preset, capsys):
+    assert main([command, "--preset", preset]) == 1
+    assert f"configuration error: preset: {preset!r}" in capsys.readouterr().err
+
+
 def test_solve_lyapunov_weight_without_lam_names_lam(capsys):
     code = main(["solve", "--system", "lorenz63", "--T", "0.4", "--N", "4",
                  "--xi", "10", "--h", "0.01", "--check", "standard",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from paratime.config import (SolveConfig, SweepConfig, dump_config,
-                             load_solve_config, load_sweep_config)
+from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import fine_serial_reference
 from paratime.errors import ConfigError
 from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
@@ -17,6 +16,7 @@ from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
                                   fine_propagator)
 from paratime.metrics import basin_scan
+from paratime.presets import PRESETS
 from paratime.systems import make_logistic, make_lorenz63
 
 
@@ -57,12 +57,12 @@ def test_config_yaml_round_trip(tmp_path):
     cfg = small_solve_config(check="psi", weight="lipschitz")
     path = tmp_path / "run.yaml"
     dump_config(cfg, str(path))
-    loaded = load_solve_config(str(path))
+    loaded = load_config(SolveConfig, path=str(path))
     assert loaded.to_dict() == cfg.to_dict()
     # parse -> serialize -> parse is the identity
     path2 = tmp_path / "run2.yaml"
     dump_config(loaded, str(path2))
-    assert load_solve_config(str(path2)).to_dict() == cfg.to_dict()
+    assert load_config(SolveConfig, path=str(path2)).to_dict() == cfg.to_dict()
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -75,8 +75,10 @@ def test_shipped_config_files_load_and_validate(name):
     path = os.path.join(CONFIG_DIR, name)
     with open(path) as fh:
         is_sweep = "base" in yaml.safe_load(fh)
-    load = load_sweep_config if is_sweep else load_solve_config
-    assert isinstance(load(path), SweepConfig if is_sweep else SolveConfig)
+    cls = SweepConfig if is_sweep else SolveConfig
+    cfg = load_config(cls, path=path)
+    assert isinstance(cfg, cls)
+    cfg.validate()
 
 
 def test_import_leaves_yaml_unloaded():
@@ -94,17 +96,26 @@ def test_sweep_yaml_round_trip(tmp_path):
     sweep = small_sweep_config()
     path = tmp_path / "sweep.yaml"
     dump_config(sweep, str(path))
-    loaded = load_sweep_config(str(path))
+    loaded = load_config(SweepConfig, path=str(path))
     assert loaded.to_dict() == sweep.to_dict()
 
 
-def test_cli_overrides_take_precedence(tmp_path):
-    cfg = small_solve_config()
-    path = tmp_path / "run.yaml"
-    dump_config(cfg, str(path))
-    loaded = load_solve_config(str(path), {"N": 4, "eps": None})
-    assert loaded.N == 4
-    assert loaded.eps == cfg.eps
+def test_load_config_applies_set_overrides_over_a_preset():
+    cfg = load_config(SolveConfig, preset="lorenz63-single",
+                      overrides={"N": 4, "eps": None})
+    assert cfg.N == 4
+    assert cfg.eps == PRESETS["lorenz63-single"].eps
+    assert PRESETS["lorenz63-single"].N == 128  # the preset is not changed
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"xi": 0}, "xi"), ({"h": 0.0}, "h"), ({"h": None, "L": 0}, "L"),
+    ({"h": "1e-3"}, "h"), ({"T": float("nan")}, "T"), ({"eps": None}, "eps"),
+    ({"eps": float("nan")}, "eps"), ({"eps": float("inf")}, "eps"),
+    ({"check": "psi", "weight": "lyapunov", "lam": float("nan")}, "lam")])
+def test_bad_numbers_raise_config_error_naming_the_field(bad, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        run_single(small_solve_config(**bad))
 
 
 def test_run_single_fills_metrics():
