@@ -11,8 +11,10 @@ once on each side, the side that goes first alternating from pair to pair.  For 
 side the file holds the median and quartiles over the pairs, and the change's
 wins, losses and ties against the base, "better" read from
 ``BENCHMARK.json``.  It also records the seed, the CPU count, the numpy
-version and the kernel path, and every run's metrics beside its round count
-(``rounds``: more rounds in a run of fixed length can raise its peak RSS).
+version, the kernel path, each side's kernel build flags (``kernel_flags``,
+read from that side's checkout) and every run's metrics beside its round
+count (``rounds``: more rounds in a run of fixed length can raise its peak
+RSS).
 """
 
 from __future__ import annotations
@@ -98,6 +100,17 @@ def export(rev: str, folder: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(folder)], input=archive, check=True)
 
 
+def kernel_flags(checkout: Path) -> str | None:
+    """The compiler flags, ``_kernel.FLAGS``, with which the package in
+    ``checkout`` builds its kernel; None when it cannot be imported."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from paratime._kernel import FLAGS; print(' '.join(FLAGS))"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def environment() -> dict:
     import numpy
 
@@ -126,12 +139,14 @@ def main(argv=None) -> int:
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                           capture_output=True, text=True,
                           check=True).stdout.strip()
-    result = {"base": base, "seed": args.seed,
-              **environment(), "workloads": {}, "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
         export(base, base_dir)
         checkouts = {"base": base_dir, "change": ROOT}
+        result = {"base": base, "seed": args.seed, **environment(),
+                  "kernel_flags": {side: kernel_flags(checkouts[side])
+                                   for side in SIDES},
+                  "workloads": {}, "runs": {}}
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):

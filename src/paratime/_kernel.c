@@ -10,9 +10,11 @@
  *
  * Bitwise equality needs every multiply and add rounded on its own:
  *
- *     cc -O2 -ffp-contract=off -fno-fast-math -shared -fPIC
+ *     cc -O3 -ffp-contract=off -fno-fast-math -shared -fPIC
  *
  * (_kernel.py builds it so; a fused multiply-add changes the last bit.)
+ * -O3 vectorizes the element-wise loops over d and m: each vector lane
+ * does the same multiply and add, in the same order, as the scalar loop.
  */
 
 #include <math.h>

@@ -32,7 +32,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_kernel.c")
 CC = "cc"
 # Every multiply and add rounded on its own, as numpy rounds them.
-FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 # The one-stage Newton solve, on every path: stop once the stage residual is
 # at most NEWTON_TOL * max(1, |u|), so that large-amplitude systems are not
@@ -46,12 +46,13 @@ SYSTEMS = ("logistic", "linear", "lorenz63", "lorenz96")
 OK, NONFINITE, NEWTON_FAILED, NO_MEMORY, TANGENT_NONFINITE = range(5)
 
 # Work per block, in rows * d * (1 + m) * steps, that a split must leave;
-# smaller calls run as one.  Measured on a 2-core machine: a thread start
-# plus join costs about 150 us, and at 2 * MIN_WORK a Lorenz-96 call takes
-# about 5 ms.  On 2 blocks the beta_bound tangent call ((65, 40, 40) over 300
-# RK4 steps, 32 M) ran 1.7-1.9x faster, the l96-solve-bound fine sweep
-# ((64, 40) over 300 steps, 768 k) 1.1-1.6x and a (34, 40) one (408 k)
-# 1.45x; the two CPUs act like hyperthreads on the state-only loop.
+# smaller calls run as one.  Measured on a 2-core machine with the -O3
+# build: a thread start plus join costs about 150 us, and at 2 * MIN_WORK a
+# Lorenz-96 call ((34, 40) over 300 RK4 steps, 408 k) takes about 4 ms on
+# one block.  On 2 blocks that call ran 1.44-1.47x faster, the beta_bound
+# tangent call ((65, 40, 40) over 300 steps, 32 M) 1.9x and the
+# l96-solve-bound fine sweep ((64, 40) over 300 steps, 768 k) 1.3-1.5x; a
+# (64, 40) call over 100 steps (256 k) gained nothing.
 MIN_WORK = 200_000
 
 _INT, _DOUBLE = ctypes.c_int, ctypes.c_double

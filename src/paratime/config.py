@@ -119,8 +119,13 @@ class SweepConfig:
             cfg.validate()
 
     def rows(self):
-        """Yield (SolveConfig, check, weight) in declared order."""
+        """Yield (SolveConfig, check, weight) in declared order.
+
+        Every row steps with the base's h, derived from its grid when it
+        gives only L, so that one reference walk serves every row.
+        """
         base = self.base
+        h = base.h if base.h is not None else base.resolve_grid().h
         for crit in self.criteria:
             check = crit.get("check", "standard")
             weight = crit.get("weight", "unit")
@@ -134,7 +139,8 @@ class SweepConfig:
                 points = [(T, base.N) for T in self.T_list]
             for T, N in points:
                 cfg = SolveConfig(**{**base.to_dict(),
-                                     "T": float(T), "N": int(N), "L": None,
+                                     "T": float(T), "N": int(N), "h": h,
+                                     "L": None,
                                      "check": check, "weight": weight,
                                      "lam": lam})
                 yield cfg, check, weight
@@ -154,11 +160,26 @@ class SweepConfig:
 
 
 def read_config_file(path: str) -> dict:
-    """The key-value document in a YAML config file ({} when empty)."""
+    """The key-value document in a YAML config file ({} when empty).
+
+    A file that cannot be read or parsed, or whose top level is not a
+    mapping, raises a ConfigError naming the path.
+    """
     import yaml  # deferred: a run that reads no config file never loads it
 
-    with open(path) as fh:
-        return yaml.safe_load(fh) or {}
+    try:
+        with open(path, "rb") as fh:  # yaml detects the encoding
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config file {path!r}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path!r}: invalid YAML: {exc}") from exc
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path!r}: top level is a "
+                          f"{type(data).__name__}, not a mapping")
+    return data
 
 
 def load_config(cls, preset: str | None = None, path: str | None = None,

@@ -121,13 +121,13 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
     base = sweep.base
     system = base.resolve_system()
     u0 = base.resolve_u0(system)
-    # rows() gives every row the base h and derives its L: one walk serves all.
-    ref_cache = _ReferenceCache(system, get_tableau(base.fine), float(base.h),
-                                u0, [cfg.resolve_grid() for cfg, _, _ in rows])
+    # rows() gives every row the same h and derives its L: one walk serves all.
+    grids = [cfg.resolve_grid() for cfg, _, _ in rows]
+    ref_cache = _ReferenceCache(system, get_tableau(base.fine), grids[0].h, u0,
+                                grids)
 
     records = []
-    for cfg, check, weight in rows:
-        grid = cfg.resolve_grid()
+    for (cfg, check, weight), grid in zip(rows, grids):
         rec = {"check": check, "weight": weight, "N": grid.N, "T": grid.T,
                "dT": grid.dT, "xi": grid.xi, "h": grid.h, "eps": cfg.eps,
                "error": ""}

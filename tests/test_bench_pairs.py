@@ -59,3 +59,16 @@ def test_rounds_read_from_the_workload_line(bench_pairs):
               '{"correct": true, "attempted": 24, "failed": 0, "metrics": {}}\n')
     assert bench_pairs.rounds(stdout) == 12
     assert bench_pairs.rounds("# round wall_s: 0.42 rounds=3\n") is None
+
+
+def test_kernel_flags_read_from_each_checkout(bench_pairs, tmp_path):
+    from paratime import _kernel
+
+    assert bench_pairs.kernel_flags(bench_pairs.ROOT) == " ".join(_kernel.FLAGS)
+    package = tmp_path / "src" / "paratime"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "_kernel.py").write_text('FLAGS = ("-O1", "-shared")\n')
+    assert bench_pairs.kernel_flags(tmp_path) == "-O1 -shared"
+    (package / "_kernel.py").unlink()
+    assert bench_pairs.kernel_flags(tmp_path) is None

@@ -74,6 +74,22 @@ def test_preset_of_the_wrong_kind_names_it(command, preset, capsys):
     assert f"configuration error: preset: {preset!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file"), ("T: [1.0\n", "invalid YAML"),
+    ("- 1.0\n- 2.0\n", "top level is a list, not a mapping")],
+    ids=["missing", "syntax", "list"])
+def test_bad_config_file_is_a_configuration_error_naming_it(
+        command, text, reason, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config file {str(path)!r}: ")
+    assert reason in err and "Traceback" not in err
+
+
 def test_solve_lyapunov_weight_without_lam_names_lam(capsys):
     code = main(["solve", "--system", "lorenz63", "--T", "0.4", "--N", "4",
                  "--xi", "10", "--h", "0.01", "--check", "standard",

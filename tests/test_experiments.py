@@ -161,6 +161,19 @@ def test_weak_single_point_matches_strong():
     assert srow.to_dict() == wrow.to_dict()
 
 
+def test_sweep_base_with_l_and_no_h_steps_every_row_with_its_h():
+    """A base that gives L runs as the same base giving the h it derives."""
+    base = dict(system="logistic", u0=[0.5], fine="implicit_euler",
+                coarse="implicit_euler", T=1.0, N=2, xi=1)
+    by_L = SweepConfig.from_dict({"base": {**base, "L": 4},
+                                  "N_list": [2, 4]})
+    by_h = SweepConfig.from_dict({"base": {**base, "h": 0.125},
+                                  "N_list": [2, 4]})
+    assert [cfg.h for cfg, _, _ in by_L.rows()] == [0.125, 0.125]
+    assert [cfg.L for cfg, _, _ in by_L.rows()] == [None, None]
+    assert run_sweep(by_L, "") == run_sweep(by_h, "")
+
+
 def test_run_sweep_csv_deterministic(tmp_path):
     sweep = small_sweep_config()
     out1 = tmp_path / "a.csv"

@@ -326,7 +326,9 @@ def numpy_walk(prop, system, t0, u):
     return u
 
 
-# Every system with a kernel spec, with a generator of in-range states.
+# Every system with a kernel spec, with a generator of in-range states.  The
+# odd Lorenz-96 width D = 13 is a multiple of no vector width, so the
+# kernel's vectorized state loops also run their scalar remainders.
 KERNEL_SYSTEMS = {
     "logistic": (make_logistic(), lambda rng, n: rng.uniform(0.0, 1.3, (n, 1))),
     "linear": (make_linear(-0.8), lambda rng, n: rng.normal(size=(n, 1))),
@@ -336,6 +338,8 @@ KERNEL_SYSTEMS = {
                      lambda rng, n: 8.0 + rng.normal(size=(n, 40))),
     "lorenz96-D5": (make_lorenz96(5),
                     lambda rng, n: 8.0 + rng.normal(size=(n, 5))),
+    "lorenz96-D13": (make_lorenz96(13),
+                     lambda rng, n: 8.0 + rng.normal(size=(n, 13))),
 }
 KERNEL_CASES = [(name, tab) for name, (system, _) in KERNEL_SYSTEMS.items()
                 for tab in TABLEAUX.values()
@@ -484,10 +488,12 @@ def numpy_tangent_walk(prop, system, t0, u, tangent):
     return u, tangent
 
 
+# The width m = 7, like D = 13, leaves a remainder after the vectorized
+# tangent loops.
 TANGENT_CASES = [(name, tab, m)
                  for name, (system, _) in KERNEL_SYSTEMS.items()
                  for tab in TABLEAUX.values() if tab.is_explicit
-                 for m in sorted({1, system.dim})]
+                 for m in sorted({1, 7, system.dim})]
 
 
 @needs_kernel
