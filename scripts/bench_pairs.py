@@ -10,11 +10,12 @@ pair runs ``perfbench/run.py`` with its default run length and no tracing
 once on each side, the side that goes first alternating from pair to pair.  For every workload, metric and
 side the file holds the median and quartiles over the pairs, and the change's
 wins, losses and ties against the base, "better" read from
-``BENCHMARK.json``.  It also records the seed, the CPU count, the numpy
-version, the kernel path, each side's kernel build flags (``kernel_flags``,
-read from that side's checkout) and every run's metrics beside its round
-count (``rounds``: more rounds in a run of fixed length can raise its peak
-RSS).
+``BENCHMARK.json``, and for each end-to-end metric a ``verdict`` against its
+bound there (see :func:`verdict`).  It also records the seed, the CPU
+count, the numpy version, the kernel path, each side's kernel build flags
+(``kernel_flags``, read from that side's checkout) and every run's metrics
+beside its round count (``rounds``: more rounds in a run of fixed length can
+raise its peak RSS).
 """
 
 from __future__ import annotations
@@ -42,13 +43,42 @@ def quartiles(values) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better: dict) -> dict:
+def verdict(base, change, sign: float, bound: float, wins: int) -> str:
+    """How the change's runs compare with the base's on one metric.
+
+    ``sign`` is 1 when lower is better and -1 when higher is; ``bound`` is
+    the relative worsening the benchmark allows.  In this order:
+
+    - ``gain``: the change won at least 9/10 of the pairs, and its median is
+      better by more than the base's interquartile range;
+    - ``worse``: its median is worse by more than ``bound`` of the base's;
+    - ``unresolved``: the base's interquartile range is wider than the bound,
+      and not every change run reads better than every base run;
+    - ``within``: none of these.
+    """
+    b, c = quartiles(base), quartiles(change)
+    iqr = b["q3"] - b["q1"]
+    gap = sign * (b["median"] - c["median"])  # > 0: the change is better
+    allowed = bound * abs(b["median"])
+    if wins >= 0.9 * len(base) and gap > iqr:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    if iqr > allowed and not max(sign * v for v in change) < min(
+            sign * v for v in base):
+        return "unresolved"
+    return "within"
+
+
+def summarize(pairs, better: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's median and quartiles, and the change's wins.
 
     ``pairs`` holds ``(base, change)`` result objects, each the JSON line
     ``perfbench/run.py`` prints last; ``better`` maps a metric name to
     ``"lower"`` or ``"higher"``.  A win is a pair in which the change reads
-    better than the base; equal values count as ties.
+    better than the base; equal values count as ties.  A metric named in
+    ``bounds`` (end-to-end metric name to its relative bound) also gets a
+    ``verdict``.
     """
     out = {"pairs": len(pairs),
            "correct": {side: sum(bool(p[i]["correct"]) for p in pairs)
@@ -70,6 +100,9 @@ def summarize(pairs, better: dict) -> dict:
         b = entry["base"]
         entry["ratio"] = (entry["change"]["median"] / b["median"]
                           if b["median"] else None)
+        if name in (bounds or {}):
+            entry["verdict"] = verdict(base, change, sign, bounds[name],
+                                       entry["wins"])
         out["metrics"][name] = entry
     return out
 
@@ -135,6 +168,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                           capture_output=True, text=True,
@@ -159,7 +193,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} "
                       f"first): wall_s base {wall['base']} change "
                       f"{wall['change']}", flush=True)
-            result["workloads"][workload] = summarize(pairs, better)
+            result["workloads"][workload] = summarize(pairs, better, bounds)
             result["runs"][workload] = [
                 {side: {"rounds": p[j]["rounds"],
                         **{k: v["value"] for k, v in p[j]["metrics"].items()}}

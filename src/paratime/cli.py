@@ -2,8 +2,16 @@
 
 Subcommands: ``solve`` (one run), ``sweep`` (scaling study), ``bounds``
 (contraction report), ``basin`` (residual grid), ``lyapunov`` (exponent
-estimate), ``plotdata`` (series files from a sweep CSV).  Exit codes:
-0 success, 1 configuration error, 2 numerical failure.
+estimate), ``plotdata`` (series files from a sweep CSV).
+
+``solve``, ``bounds``, ``basin`` and ``lyapunov`` take ``--config``,
+``--preset`` and a flag for each ``SolveConfig`` field they read
+(``COMMAND_FIELDS``), and resolve, and so check, only those fields.
+``sweep`` takes ``--N-list`` in the strong and weak modes and ``--T-list``
+in the time mode.
+
+Exit codes: 0 success, 1 configuration error (usage errors such as an
+unknown flag or a bad value included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,51 +24,64 @@ from . import _kernel
 from . import bounds as bounds_mod
 from . import engine, experiments, integrators, metrics
 from .config import SolveConfig, SweepConfig, load_config
-from .errors import BlowUpError, ConfigError, StepFailureError
+from .errors import (BlowUpError, ConfigError, StepFailureError,
+                     require_positive)
 from .presets import PRESETS
 
 
-def _parse_floats(text):
+def floats(text):
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _solve_overrides(args):
-    return {"system": args.system, "T": args.T, "N": args.N, "xi": args.xi,
-            "h": args.h, "L": args.L, "eps": args.eps, "check": args.check,
-            "weight": args.weight, "lam": args.lam, "fine": args.fine,
-            "coarse": args.coarse,
-            "u0": _parse_floats(args.u0) if args.u0 else None}
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (unknown flag, bad value) as a ConfigError, so
+    it exits 1 like any other configuration error."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_solve_args(p):
+# The SolveConfig fields that flags can set: argparse type and help text.
+FIELD_FLAGS = {
+    "system": (str, "logistic | lorenz63 | lorenz96"),
+    "u0": (floats, "comma-separated initial state"),
+    "fine": (str, "fine tableau name"),
+    "coarse": (str, "coarse tableau name"),
+    "T": (float, "horizon"),
+    "N": (int, "number of chunks"),
+    "xi": (int, "fine steps per coarse step"),
+    "h": (float, "fine step"),
+    "L": (int, "coarse steps per chunk"),
+    "eps": (float, "tolerance; the inner ball radius for bounds"),
+    "check": (str, "standard | psi"),
+    "weight": (str, "unit | lyapunov | lipschitz"),
+    "lam": (float, "Lyapunov exponent for weight=lyapunov"),
+}
+_GRID = ("T", "N", "xi", "h", "L")
+# The fields each subcommand reads, and so the field flags it takes.
+COMMAND_FIELDS = {
+    "solve": tuple(FIELD_FLAGS),
+    "bounds": ("system", "u0", "fine", "coarse", *_GRID, "eps"),
+    "basin": ("system", "u0", "fine", *_GRID),
+    "lyapunov": ("system", "u0"),
+}
+
+
+def _add_config_args(p, command):
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named built-in configuration")
-    p.add_argument("--system", help="logistic | lorenz63 | lorenz96")
-    p.add_argument("--u0", help="comma-separated initial state")
-    p.add_argument("--fine", help="fine tableau name")
-    p.add_argument("--coarse", help="coarse tableau name")
-    p.add_argument("--T", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--xi", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--check", help="standard | psi")
-    p.add_argument("--weight", help="unit | lyapunov | lipschitz")
-    p.add_argument("--lam", type=float, help="Lyapunov exponent for weight=lyapunov")
+    for name in COMMAND_FIELDS[command]:
+        kind, text = FIELD_FLAGS[name]
+        p.add_argument(f"--{name}", type=kind, help=text)
 
 
 def _solve_config(args) -> SolveConfig:
-    """The preset or config file, overridden by the flags; not validated."""
+    """The preset or config file, overridden by this command's field flags;
+    not validated."""
     return load_config(SolveConfig, args.preset, args.config,
-                       _solve_overrides(args))
-
-
-def _build_solve_config(args) -> SolveConfig:
-    cfg = _solve_config(args)
-    cfg.validate()
-    return cfg
+                       {name: getattr(args, name)
+                        for name in COMMAND_FIELDS[args.command]})
 
 
 def _cmd_solve(args) -> int:
@@ -93,10 +114,15 @@ def _cmd_sweep(args) -> int:
     if not (args.preset or args.config):
         raise ConfigError("sweep needs --config or --preset")
     over = {"mode": args.mode,
-            "N_list": ([int(v) for v in _parse_floats(args.N_list)]
-                       if args.N_list else None),
-            "T_list": _parse_floats(args.T_list) if args.T_list else None}
+            "N_list": [int(v) for v in args.N_list] if args.N_list else None,
+            "T_list": args.T_list or None}
     sweep = load_config(SweepConfig, args.preset, args.config, over)
+    # A list flag the mode does not read is an error; a list in the file may
+    # sit unread, so that one file serves several modes.
+    for flag, modes in (("N_list", ("time",)), ("T_list", ("strong", "weak"))):
+        if getattr(args, flag) and sweep.mode in modes:
+            raise ConfigError(f"--{flag.replace('_', '-')}: mode={sweep.mode} "
+                              f"does not read it")
     text = experiments.run_sweep(sweep, args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -106,7 +132,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _build_solve_config(args)
+    cfg = _solve_config(args)
+    require_positive("eps", cfg.eps)  # the inner radius r of the ball budget
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
     grid = cfg.resolve_grid()
@@ -141,11 +168,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_basin(args) -> int:
-    cfg = _build_solve_config(args)
+    cfg = _solve_config(args)
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
     grid = cfg.resolve_grid()
-    fine, _ = cfg.resolve_propagators(grid)
+    fine = integrators.fine_propagator(grid, integrators.get_tableau(cfg.fine))
     ranges = ((args.lo_i, args.hi_i), (args.lo_j, args.hi_j))
     bg = metrics.basin_scan(system, fine, u0, args.coord_i, args.coord_j,
                             ranges, args.resolution)
@@ -155,8 +182,6 @@ def _cmd_basin(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    # Only the system and its starting state matter here: the grid flags are
-    # accepted with the other shared flags but neither resolved nor checked.
     cfg = _solve_config(args)
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
@@ -176,33 +201,35 @@ def _cmd_plotdata(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paratime",
         description="Parallel-in-time integration experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one configuration")
-    _add_solve_args(p)
+    _add_config_args(p, "solve")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="run a scaling study, emit CSV")
     p.add_argument("--config", help="sweep YAML config")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--mode", choices=("strong", "weak", "time"))
-    p.add_argument("--N-list", dest="N_list", help="comma-separated chunk counts")
-    p.add_argument("--T-list", dest="T_list", help="comma-separated horizons")
+    p.add_argument("--N-list", dest="N_list", type=floats,
+                   help="comma-separated chunk counts (strong, weak)")
+    p.add_argument("--T-list", dest="T_list", type=floats,
+                   help="comma-separated horizons (time)")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="contraction factor report")
-    _add_solve_args(p)
+    _add_config_args(p, "bounds")
     p.add_argument("--K", type=int, default=3, help="iteration budget for R")
     p.add_argument("--q", type=float, default=1.0, help="convergence order")
     p.add_argument("--out", help="also write a one-row CSV")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("basin", help="residual grid around one fine image")
-    _add_solve_args(p)
+    _add_config_args(p, "basin")
     p.add_argument("--coord-i", type=int, default=0)
     p.add_argument("--coord-j", type=int, default=1)
     p.add_argument("--lo-i", type=float, required=True)
@@ -214,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_basin)
 
     p = sub.add_parser("lyapunov", help="leading exponent via tangent growth")
-    _add_solve_args(p)
+    _add_config_args(p, "lyapunov")
     p.add_argument("--spinup", type=float, default=20.0)
     p.add_argument("--horizon", type=float, default=400.0)
     p.add_argument("--renorm", type=float, default=1.0)
@@ -232,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -156,6 +156,14 @@ class SweepConfig:
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown sweep config keys: {sorted(extra)}")
+        if not isinstance(base, dict):
+            raise ConfigError(f"base: expected a mapping, got "
+                              f"{type(base).__name__}")
+        criteria = data.get("criteria", [])
+        if not (isinstance(criteria, list)
+                and all(isinstance(c, dict) for c in criteria)):
+            raise ConfigError("criteria: expected a list of mappings with "
+                              "keys check, weight, lam")
         return cls(base=SolveConfig.from_dict(base), **data)
 
 

@@ -76,6 +76,10 @@ class _ReferenceCache:
     horizon, keeping the state at the union of every row's interface step
     counts, yields states bit-identical to any per-row serial sweep.  Only
     the ``(M, d)`` states and their ``(M,)`` step counts are kept.
+
+    A walk that fails numerically stops there and keeps the states before
+    the failure; ``trajectory`` raises it, naming the chunk, for a grid that
+    reaches past them.
     """
 
     def __init__(self, system, fine_tableau, h, u0, grids):
@@ -85,13 +89,19 @@ class _ReferenceCache:
             milestones.update(n * steps_per_chunk for n in range(grid.N + 1))
         self.steps = np.array(sorted(milestones))
         self.states = np.empty((self.steps.size, np.size(u0)))
+        self.failure = None  # (step count the failed stretch starts at, error)
         state = self.states[0] = np.asarray(u0, dtype=float)
         for i in range(1, self.steps.size):
             start, target = self.steps[i - 1], self.steps[i]
             prop = Propagator(tableau=fine_tableau, step=h,
                               steps_per_call=int(target - start))
-            state = self.states[i] = propagate(prop, system, int(start) * h,
-                                               state)
+            try:
+                state = self.states[i] = propagate(prop, system,
+                                                   int(start) * h, state)
+            except (BlowUpError, StepFailureError) as exc:
+                self.failure = (int(start), exc)
+                self.steps, self.states = self.steps[:i], self.states[:i]
+                break
 
     @property
     def snapshots(self) -> Dict[int, np.ndarray]:
@@ -101,7 +111,20 @@ class _ReferenceCache:
         return dict(zip(self.steps.tolist(), states))
 
     def trajectory(self, grid) -> TrajectoryVec:
-        wanted = np.arange(grid.N + 1) * (grid.L * grid.xi)
+        steps_per_chunk = grid.L * grid.xi
+        wanted = np.arange(grid.N + 1) * steps_per_chunk
+        if self.failure is not None and wanted[-1] > self.steps[-1]:
+            # Every interface of the grid is a milestone, so the failed
+            # stretch lies inside one of its chunks.
+            start, exc = self.failure
+            n = start // steps_per_chunk + 1
+            if isinstance(exc, BlowUpError) and exc.step_index is not None:
+                step = start - (n - 1) * steps_per_chunk + exc.step_index
+                raise BlowUpError(
+                    f"fine reference blew up in chunk {n}: state became "
+                    f"non-finite at internal step {step}",
+                    step_index=step, chunk_index=n) from exc
+            raise type(exc)(f"fine reference failed in chunk {n}: {exc}") from exc
         rows = np.searchsorted(self.steps, wanted)
         if not np.array_equal(self.steps.take(rows, mode="clip"), wanted):
             raise KeyError(f"reference walk has no snapshot for grid {grid}")

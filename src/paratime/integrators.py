@@ -371,11 +371,15 @@ def _check_finite(u, step_index):
 
 
 def _locate_blowup(prop, system, t0, u):
-    """Re-run a failed chunk with per-step checks to name the failing step."""
-    for i in range(prop.steps_per_call):
-        t = t0 + i * prop.step
-        u = rk_step(prop.tableau, system, t, u, prop.step)
-        _check_finite(u, i)
+    """Re-run a failed chunk with per-step checks to name the failing step.
+
+    Overflow on the way is expected, so numpy stays quiet: the BlowUpError is
+    the one report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(prop.steps_per_call):
+            t = t0 + i * prop.step
+            u = rk_step(prop.tableau, system, t, u, prop.step)
+            _check_finite(u, i)
     raise BlowUpError("chunk output non-finite but no failing step found")
 
 

@@ -72,3 +72,35 @@ def test_kernel_flags_read_from_each_checkout(bench_pairs, tmp_path):
     assert bench_pairs.kernel_flags(tmp_path) == "-O1 -shared"
     (package / "_kernel.py").unlink()
     assert bench_pairs.kernel_flags(tmp_path) is None
+
+
+@pytest.mark.parametrize("base, change, want", [
+    # 10/10 won, and the median gap (0.3) exceeds the base IQR (0.035)
+    ([1.0, 1.02, 0.98, 1.05, 0.95, 1.01, 0.99, 1.03, 0.97, 1.0],
+     [0.7, 0.72, 0.68, 0.75, 0.65, 0.71, 0.69, 0.73, 0.67, 0.7], "gain"),
+    # 9/10 won but the gap (0.015) is inside the base IQR (0.035)
+    ([1.0, 1.02, 0.98, 1.05, 0.95, 1.01, 0.99, 1.03, 0.97, 1.0],
+     [0.98, 1.0, 0.96, 1.03, 0.93, 0.99, 0.97, 1.01, 0.95, 1.01], "within"),
+    # the median is 30% worse against a 24% bound
+    ([1.0] * 10, [1.3] * 10, "worse"),
+    # 20% worse: inside the bound, and the base's spread is tight
+    ([1.0, 1.01] * 5, [1.2, 1.21] * 5, "within"),
+    # the base's IQR (1.5) is wider than the bound (0.36) and the runs overlap
+    ([1.0] * 3 + [1.5] * 4 + [3.0] * 3, [1.2] * 3 + [1.6] * 4 + [2.9] * 3,
+     "unresolved"),
+    # as wide, but every change run reads better than every base run
+    ([1.0] * 3 + [1.5] * 4 + [3.0] * 3, [0.99] * 10, "within"),
+], ids=["gain", "small-gap", "worse", "inside-bound", "unresolved",
+        "wide-but-all-better"])
+def test_verdict_on_canned_pairs(bench_pairs, base, change, want):
+    pairs = [(line(b, 40.0), line(c, 40.0)) for b, c in zip(base, change)]
+    got = bench_pairs.summarize(pairs, {"wall_s": "lower"}, {"wall_s": 0.24})
+    assert got["metrics"]["wall_s"]["verdict"] == want
+    assert "verdict" not in got["metrics"]["peak_rss_mib"]  # no bound given
+
+
+def test_verdict_reads_higher_is_better(bench_pairs):
+    base, change = [1.0] * 10, [0.7] * 10  # 30% lower where higher is better
+    assert bench_pairs.verdict(base, change, -1.0, 0.24, 0) == "worse"
+    assert bench_pairs.verdict(change, base, -1.0, 0.24, 10) == "gain"
+

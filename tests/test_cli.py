@@ -1,8 +1,11 @@
+import argparse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from paratime import _kernel
-from paratime.cli import main
+from paratime.cli import build_parser, main
 from paratime.config import dump_config
 from paratime.experiments import read_sweep_csv
 from paratime.integrators import kernel_path
@@ -157,7 +160,6 @@ def test_basin_command(tmp_path):
 
 def test_lyapunov_command(capsys):
     code = main(["lyapunov", "--system", "logistic", "--u0", "0.5",
-                 "--T", "1.0", "--N", "1", "--xi", "1", "--h", "0.01",
                  "--spinup", "2", "--horizon", "30", "--renorm", "1",
                  "--step", "0.01"])
     assert code == 0
@@ -181,3 +183,102 @@ def test_preset_listing_and_single(capsys):
                  "--N", "4"])
     assert code == 0
     assert "converged=true" in capsys.readouterr().out
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GRID = ["T", "N", "xi", "h", "L"]
+ALL_FIELDS = ["system", "u0", "fine", "coarse", *GRID, "eps", "check",
+              "weight", "lam"]
+# The config fields each subcommand reads, and so the field flags it takes.
+FIELDS = {"solve": ALL_FIELDS,
+          "bounds": ["system", "u0", "fine", "coarse", *GRID, "eps"],
+          "basin": ["system", "u0", "fine", *GRID],
+          "lyapunov": ["system", "u0"]}
+OWN_FLAGS = {"solve": [],
+             "sweep": ["--config", "--preset", "--mode", "--N-list",
+                       "--T-list", "--out"],
+             "bounds": ["--K", "--q", "--out"],
+             "basin": ["--coord-i", "--coord-j", "--lo-i", "--hi-i", "--lo-j",
+                       "--hi-j", "--resolution", "--out"],
+             "lyapunov": ["--spinup", "--horizon", "--renorm", "--step"],
+             "plotdata": ["--csv", "--kind", "--out-dir"]}
+REMOVED = [(command, f"--{name}") for command in ("bounds", "basin", "lyapunov")
+           for name in ALL_FIELDS if name not in FIELDS[command]]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(OWN_FLAGS)
+    for command, sub in subparsers.choices.items():
+        got = {s for a in sub._actions for s in a.option_strings}
+        config = (["--config", "--preset"] if command in FIELDS else [])
+        want = {"-h", "--help", *config, *OWN_FLAGS[command],
+                *(f"--{name}" for name in FIELDS.get(command, []))}
+        assert got == want, command
+    assert len(REMOVED) == 19
+
+
+@pytest.mark.parametrize("command, flag", REMOVED)
+def test_a_flag_the_command_does_not_read_is_a_configuration_error(
+        command, flag, tmp_path, capsys):
+    argv = {"bounds": ["bounds", "--preset", "logistic-single"],
+            "basin": ["basin", "--preset", "logistic-single", "--lo-i", "0",
+                      "--hi-i", "1", "--lo-j", "0", "--hi-j", "1",
+                      "--out", str(tmp_path / "basin.dat")],
+            "lyapunov": ["lyapunov", "--system", "logistic"]}[command]
+    assert main(argv + [flag, "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and flag in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--config", str(CONFIGS / "serial_work_time_scaling.yaml"),
+      "--N-list", "8"], "--N-list"),
+    (["--preset", "table-logistic-strong", "--T-list", "3.2"], "--T-list"),
+    (["--preset", "table-logistic-strong", "--mode", "weak", "--T-list", "3"],
+     "--T-list")])
+def test_sweep_list_flag_its_mode_does_not_read_names_the_flag(argv, flag,
+                                                               capsys):
+    assert main(["sweep", *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["solve", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    (["solve", "--u0", "1,a"], "argument --u0: invalid"),
+    (["sweep", "--preset", "table-logistic-strong", "--N-list", "2,x"],
+     "argument --N-list: invalid"),
+    ([], "the following arguments are required: command")])
+def test_usage_errors_are_configuration_errors(argv, text, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: paratime") and text in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["bounds", "--help"])
+    assert done.value.code == 0
+    assert "--eps" in capsys.readouterr().out
+
+
+def test_bounds_checks_eps_its_inner_radius(capsys):
+    assert main(["bounds", "--preset", "logistic-single", "--eps", "0"]) == 1
+    assert "configuration error: eps: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("base: 5\nN_list: [2]\n", "base"),
+    ("base: {system: logistic}\nN_list: [2]\ncriteria: [standard]\n",
+     "criteria")])
+def test_sweep_config_of_the_wrong_shape_names_the_field(text, field,
+                                                        tmp_path, capsys):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}: ")
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import yaml
 
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import fine_serial_reference
-from paratime.errors import ConfigError
+from paratime.errors import BlowUpError, ConfigError
 from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
                                   read_sweep_csv, run_single, run_sweep,
                                   write_basin)
@@ -259,3 +260,27 @@ def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
     for grid in grids:
         ref = fine_serial_reference(fine_propagator(grid, tab), system, grid, u0)
         assert np.array_equal(cache.trajectory(grid).states, ref.states)
+
+
+def test_reference_blow_up_keeps_the_rows_that_end_before_it(tmp_path):
+    """Logistic from u0 < 0 runs off to -inf: the shared fine walk fails in
+    chunk 3 of the T = 4 row; the T = 1 row ends before that and runs."""
+    base = dict(system="logistic", u0=[-0.1], fine="rk4", coarse="rk4",
+                T=1.0, N=4, xi=10, h=0.001)
+    sweep = SweepConfig.from_dict(dict(base=base, mode="time",
+                                       T_list=[1.0, 4.0]))
+    out = tmp_path / "blowup.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the BlowUpError is the one report
+        run_sweep(sweep, str(out))
+    first, second = read_sweep_csv(str(out))
+    assert first["converged"] and first["error"] == ""
+    assert not second["converged"]
+    assert second["error"] == ("fine reference blew up in chunk 3: state "
+                               "became non-finite at internal step 400")
+    # The row's own serial walk fails at the same chunk and step.
+    grid = GridSpec.make(T=4.0, N=4, xi=10, h=0.001)
+    with pytest.raises(BlowUpError) as serial:
+        fine_serial_reference(fine_propagator(grid, RK4), make_logistic(),
+                              grid, np.array([-0.1]))
+    assert (serial.value.chunk_index, serial.value.step_index) == (3, 400)
