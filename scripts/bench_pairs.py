@@ -15,7 +15,9 @@ bound there (see :func:`verdict`).  It also records the seed, the CPU
 count, the numpy version, the kernel path, each side's kernel build flags
 (``kernel_flags``, read from that side's checkout) and every run's metrics
 beside its round count (``rounds``: more rounds in a run of fixed length can
-raise its peak RSS).
+raise its peak RSS).  ``rss_fit`` holds, per workload and side, the
+least-squares line of ``peak_rss_mib`` against ``rounds`` (see
+:func:`rss_fit`).
 """
 
 from __future__ import annotations
@@ -107,6 +109,30 @@ def summarize(pairs, better: dict, bounds: dict | None = None) -> dict:
     return out
 
 
+def rss_fit(runs) -> dict:
+    """Per side, the least-squares line of ``peak_rss_mib`` against
+    ``rounds`` over a workload's runs (``{side: {"rounds": ...,
+    "peak_rss_mib": ...}}`` each, as under ``runs`` in the output).
+
+    The intercept (MiB) is the program's memory and the slope (KiB per
+    round) what the benchmark keeps per round; a side whose runs do not
+    span two round counts gets None.
+    """
+    out = {}
+    for side in SIDES:
+        points = [(run[side]["rounds"], run[side]["peak_rss_mib"])
+                  for run in runs if run[side].get("rounds") is not None
+                  and "peak_rss_mib" in run[side]]
+        if len({x for x, _ in points}) < 2:
+            out[side] = None
+            continue
+        slope, intercept = statistics.linear_regression(*zip(*points))
+        out[side] = {"intercept_mib": intercept,
+                     "slope_kib_per_round": slope * 1024.0,
+                     "runs": len(points)}
+    return out
+
+
 def rounds(stdout: str) -> int | None:
     """The ``rounds=`` count of the ``# workload=`` line that
     ``perfbench/run.py`` prints; None when there is no such line."""
@@ -180,7 +206,7 @@ def main(argv=None) -> int:
         result = {"base": base, "seed": args.seed, **environment(),
                   "kernel_flags": {side: kernel_flags(checkouts[side])
                                    for side in SIDES},
-                  "workloads": {}, "runs": {}}
+                  "workloads": {}, "runs": {}, "rss_fit": {}}
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):
@@ -198,6 +224,7 @@ def main(argv=None) -> int:
                 {side: {"rounds": p[j]["rounds"],
                         **{k: v["value"] for k, v in p[j]["metrics"].items()}}
                  for j, side in enumerate(SIDES)} for p in pairs]
+            result["rss_fit"][workload] = rss_fit(result["runs"][workload])
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

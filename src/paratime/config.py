@@ -56,7 +56,11 @@ class SolveConfig:
     def resolve_u0(self, system: OdeSystem) -> np.ndarray:
         if self.u0 is None:
             return systems_mod.default_initial_state(system)
-        u0 = np.asarray(self.u0, dtype=float)
+        try:
+            u0 = np.asarray(self.u0, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"u0: expected {system.dim} numbers, got "
+                              f"{self.u0!r}") from exc
         if u0.shape != (system.dim,):
             raise ConfigError(
                 f"u0: expected {system.dim} components, got shape {u0.shape}")
@@ -84,6 +88,10 @@ class SolveConfig:
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        params = data.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ConfigError(f"params: expected a mapping, got "
+                              f"{type(params).__name__}")
         return cls(**data)
 
 
@@ -164,6 +172,12 @@ class SweepConfig:
                 and all(isinstance(c, dict) for c in criteria)):
             raise ConfigError("criteria: expected a list of mappings with "
                               "keys check, weight, lam")
+        for name in ("N_list", "T_list"):
+            values = data.get(name, [])
+            if not (isinstance(values, list)
+                    and all(isinstance(v, (int, float)) for v in values)):
+                raise ConfigError(f"{name}: expected a list of numbers, got "
+                                  f"{values!r}")
         return cls(base=SolveConfig.from_dict(base), **data)
 
 

@@ -47,7 +47,9 @@ is differentiated, its slope taken by the system's ``jvp``), so ``m = d``
 with an identity seed yields the exact Jacobian of the numerical chunk map.
 :func:`propagate_with_tangent` runs them in the same compiled call as the
 state when the tableau is explicit and the block is float64 with shape
-``u.shape + (m,)``, bitwise equal to the numpy step.  Per RK4 step from
+``u.shape + (m,)``, bitwise equal to the numpy step.  That call advances
+the block in place: on a copy of the caller's block, or on the identity
+seed that :func:`propagate_with_jacobian` makes for itself.  Per RK4 step from
 :func:`propagate_with_tangent`, same machine:
 
     tangent block            steps/call     numpy    compiled
@@ -370,12 +372,15 @@ def _check_finite(u, step_index):
         f"(batch element {bad})", step_index=step_index, chunk_index=bad)
 
 
-def _locate_blowup(prop, system, t0, u):
-    """Re-run a failed chunk with per-step checks to name the failing step.
+# Overflow in a numpy step loop is expected on the way to a blow-up, so numpy
+# stays quiet there: the chunk-end finite check, and then the BlowUpError, is
+# the one report.
+_quiet = partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
 
-    Overflow on the way is expected, so numpy stays quiet: the BlowUpError is
-    the one report."""
-    with np.errstate(over="ignore", invalid="ignore"):
+
+def _locate_blowup(prop, system, t0, u):
+    """Re-run a failed chunk with per-step checks to name the failing step."""
+    with _quiet():
         for i in range(prop.steps_per_call):
             t = t0 + i * prop.step
             u = rk_step(prop.tableau, system, t, u, prop.step)
@@ -489,9 +494,10 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
         finite = status == _kernel.OK
     else:
         out = u
-        for i in range(prop.steps_per_call):
-            t = t0 + i * step
-            out = rk_step(prop.tableau, system, t, out, step)
+        with _quiet():
+            for i in range(prop.steps_per_call):
+                t = t0 + i * step
+                out = rk_step(prop.tableau, system, t, out, step)
         finite = np.isfinite(out).all()
     # Finite check once per chunk; polynomial vector fields keep non-finite
     # values non-finite, so a blow-up always surfaces at the chunk end.  The
@@ -509,33 +515,9 @@ def propagate_with_tangent(prop: Propagator, system: OdeSystem, t0, u: Array,
     the state arithmetic is shared, the tangent recursion only reads it.  An
     explicit tableau with a float64 block of shape ``u.shape + (m,)`` takes
     the compiled kernel where it covers the system, with the same bits as
-    the numpy step.
+    the numpy step.  The caller's block is left as it was.
     """
-    t0 = np.asarray(t0, dtype=float)
-    run = (_compiled_kernel(prop, system, u) if prop.tableau.is_explicit
-           else None)
-    if (run is not None and isinstance(tangent, np.ndarray)
-            and tangent.dtype == np.float64
-            and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0):
-        tangent = np.array(tangent, order="C")
-        out, status, _ = run(u, tangent)
-        if status == _kernel.NO_MEMORY:
-            raise MemoryError("compiled kernel: out of memory")
-        finite = status != _kernel.NONFINITE
-        tangent_finite = status != _kernel.TANGENT_NONFINITE
-    else:
-        out = u
-        for i in range(prop.steps_per_call):
-            t = t0 + i * prop.step
-            out, tangent = rk_step_with_tangent(prop.tableau, system, t, out,
-                                                tangent, prop.step)
-        finite = np.isfinite(out).all()
-        tangent_finite = np.isfinite(tangent).all()
-    if not finite:
-        _locate_blowup(prop, system, t0, u)
-    if not tangent_finite:
-        raise BlowUpError("tangent block became non-finite")
-    return out, tangent
+    return _propagate_tangent(prop, system, t0, u, tangent, copy=True)
 
 
 def propagate_with_jacobian(prop: Propagator, system: OdeSystem, t0,
@@ -543,4 +525,36 @@ def propagate_with_jacobian(prop: Propagator, system: OdeSystem, t0,
     """Chunk propagation returning (output state, exact chunk-map Jacobian)."""
     d = u.shape[-1]
     eye = np.broadcast_to(np.eye(d), u.shape[:-1] + (d, d)).copy()
-    return propagate_with_tangent(prop, system, t0, u, eye)
+    # The seed is private, so the compiled kernel advances it in place.
+    return _propagate_tangent(prop, system, t0, u, eye, copy=False)
+
+
+def _propagate_tangent(prop, system, t0, u, tangent, copy):
+    """:func:`propagate_with_tangent`; ``copy`` is passed to ``np.array``
+    for the block that the compiled kernel advances in place."""
+    t0 = np.asarray(t0, dtype=float)
+    run = (_compiled_kernel(prop, system, u) if prop.tableau.is_explicit
+           else None)
+    if (run is not None and isinstance(tangent, np.ndarray)
+            and tangent.dtype == np.float64
+            and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0):
+        tangent = np.array(tangent, order="C", copy=copy)
+        out, status, _ = run(u, tangent)
+        if status == _kernel.NO_MEMORY:
+            raise MemoryError("compiled kernel: out of memory")
+        finite = status != _kernel.NONFINITE
+        tangent_finite = status != _kernel.TANGENT_NONFINITE
+    else:
+        out = u
+        with _quiet():
+            for i in range(prop.steps_per_call):
+                t = t0 + i * prop.step
+                out, tangent = rk_step_with_tangent(prop.tableau, system, t,
+                                                    out, tangent, prop.step)
+        finite = np.isfinite(out).all()
+        tangent_finite = np.isfinite(tangent).all()
+    if not finite:
+        _locate_blowup(prop, system, t0, u)
+    if not tangent_finite:
+        raise BlowUpError("tangent block became non-finite")
+    return out, tangent

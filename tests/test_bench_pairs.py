@@ -104,3 +104,20 @@ def test_verdict_reads_higher_is_better(bench_pairs):
     assert bench_pairs.verdict(base, change, -1.0, 0.24, 0) == "worse"
     assert bench_pairs.verdict(change, base, -1.0, 0.24, 10) == "gain"
 
+
+def test_rss_fit_against_rounds_on_canned_runs(bench_pairs):
+    # base: 40 MiB plus 48 KiB per round; change: 38 MiB plus 24 KiB
+    runs = [{"base": {"rounds": r, "peak_rss_mib": 40.0 + 48 * r / 1024},
+             "change": {"rounds": r + 2, "peak_rss_mib": 38.0
+                        + 24 * (r + 2) / 1024}} for r in (50, 60, 75, 90)]
+    got = bench_pairs.rss_fit(runs)
+    assert got["base"] == {"intercept_mib": pytest.approx(40.0),
+                           "slope_kib_per_round": pytest.approx(48.0),
+                           "runs": 4}
+    assert got["change"]["intercept_mib"] == pytest.approx(38.0)
+    assert got["change"]["slope_kib_per_round"] == pytest.approx(24.0)
+    # one round count, or none recorded, leaves the slope undefined
+    flat = [{"base": {"rounds": 7, "peak_rss_mib": v},
+             "change": {"rounds": None, "peak_rss_mib": v}}
+            for v in (40.0, 41.0)]
+    assert bench_pairs.rss_fit(flat) == {"base": None, "change": None}

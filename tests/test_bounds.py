@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from paratime import presets
+from paratime import bounds, presets
 from paratime.bounds import (ball_budget, beta_bound, empirical_order,
                              estimate_mu_nu, outer_ball_radius,
                              source_term_empirical, source_term_theoretical,
@@ -286,29 +287,82 @@ def test_estimate_mu_nu_bitwise_equal_to_per_sample_loop():
                      in zip(jacs, jacs[1:], times, times[1:]))
 
 
-def test_beta_bound_bitwise_equal_to_per_matrix_loop():
-    """The stacked SVDs give the bits of one spectral_norm per matrix."""
-    sys40 = make_lorenz96()
-    grid = GridSpec.make(T=2.0, N=8, xi=10, h=5e-3)
+def _assert_bitwise_equal_to_per_matrix_loop(system, grid):
+    """beta_bound, source_term_empirical and estimate_mu_nu at the grid's
+    interfaces give the bits of one spectral_norm per matrix."""
     fine, coarse = fine_propagator(grid, RK4), coarse_propagator(grid, RK4)
-    states = fine_serial_reference(fine, sys40, grid,
-                                   default_initial_state(sys40)).states
+    states = fine_serial_reference(fine, system, grid,
+                                   default_initial_state(system)).states
     times = grid.interface_times
-    cb = beta_bound(fine, coarse, sys40, grid, times, states)
-    JF = [propagate_with_jacobian(fine, sys40, t, u)[1]
+    cb = beta_bound(fine, coarse, system, grid, times, states)
+    JF = [propagate_with_jacobian(fine, system, t, u)[1]
           for t, u in zip(times, states)]
-    JG = [propagate_with_jacobian(coarse, sys40, t, u)[1]
+    JG = [propagate_with_jacobian(coarse, system, t, u)[1]
           for t, u in zip(times, states)]
     g_sup = max(spectral_norm(G) for G in JG)
     source = max(spectral_norm(F - G) for F, G in zip(JF, JG))
-    jacs = [sys40.jac(t, u) for t, u in zip(times, states)]
+    jacs = [system.jac(t, u) for t, u in zip(times, states)]
+    mu = max(spectral_norm(J) for J in jacs)
+    nu = max(spectral_norm(b - a) / (t1 - t0) for a, b, t0, t1
+             in zip(jacs, jacs[1:], times, times[1:]))
     assert cb.g_norm_sup == g_sup
     assert cb.source == source
     assert cb.beta == transport_term(g_sup, grid.N) * source
-    assert cb.mu == max(spectral_norm(J) for J in jacs)
-    assert cb.nu == max(spectral_norm(b - a) / (t1 - t0) for a, b, t0, t1
-                        in zip(jacs, jacs[1:], times, times[1:]))
-    assert source_term_empirical(fine, coarse, sys40, states, times) == source
+    assert (cb.mu, cb.nu) == (mu, nu)
+    assert estimate_mu_nu(system, times, states) == (mu, nu)
+    assert source_term_empirical(fine, coarse, system, states, times) == source
+
+
+def test_beta_bound_bitwise_equal_to_per_matrix_loop():
+    """The stacked SVDs give the bits of one spectral_norm per matrix."""
+    _assert_bitwise_equal_to_per_matrix_loop(
+        make_lorenz96(), GridSpec.make(T=2.0, N=8, xi=10, h=5e-3))
+
+
+# Lorenz-96 interface samples in several blocks with a remainder, and
+# Lorenz-63 samples that fit one block.
+BLOCK_CASES = {
+    "l96-65": (make_lorenz96(), GridSpec.make(T=3.2, N=64, xi=10, h=5e-3)),
+    "l96-41": (make_lorenz96(), GridSpec.make(T=2.0, N=40, xi=10, h=5e-3)),
+    "l63-9": (make_lorenz63(), GridSpec.make(T=0.8, N=8, xi=10, h=1e-3)),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_blocked_suprema_bitwise_equal_to_per_matrix_loop(case):
+    """Suprema taken block by block are the suprema of the whole stacks."""
+    system, grid = BLOCK_CASES[case]
+    rows, samples = bounds._block_rows(system.dim), grid.N + 1
+    if system.dim == 40:
+        assert samples > rows and samples % rows
+    else:
+        assert samples <= rows
+    _assert_bitwise_equal_to_per_matrix_loop(system, grid)
+
+
+def test_one_sample_blocks_bitwise_equal_to_per_matrix_loop(monkeypatch):
+    monkeypatch.setattr(bounds, "BLOCK_BYTES", 1)
+    assert bounds._block_rows(3) == 1
+    _assert_bitwise_equal_to_per_matrix_loop(*BLOCK_CASES["l63-9"])
+
+
+def test_beta_bound_traced_peak_stays_under_one_mib():
+    """The chunk Jacobians of 65 Lorenz-96 samples take 1.6 MiB per stack;
+    streamed in blocks, beta_bound's traced peak stays below 1 MiB."""
+    system, grid = BLOCK_CASES["l96-65"]
+    fine, coarse = fine_propagator(grid, RK4), coarse_propagator(grid, RK4)
+    states = fine_serial_reference(fine, system, grid,
+                                   default_initial_state(system)).states
+    args = (fine, coarse, system, grid, grid.interface_times, states)
+    beta_bound(*args)  # the kernel is built and loaded before tracing
+    tracemalloc.start()
+    try:
+        beta_bound(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (65, 40)
+    assert peak <= 1024 * 1024, peak
 
 
 # -- root causes of the failing acceptance criteria ----------------------------

@@ -93,6 +93,25 @@ def test_bad_config_file_is_a_configuration_error_naming_it(
     assert reason in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, field", [
+    ("solve", "system: lorenz63\nparams: 5\n", "params"),
+    ("solve", "system: lorenz63\nu0: foo\n", "u0"),
+    ("sweep", "base: {system: logistic, T: 0.4, N: 4, xi: 10, h: 0.01}\n"
+              "mode: strong\nN_list: 4\n", "N_list")],
+    ids=["params-int", "u0-word", "N_list-int"])
+def test_badly_shaped_field_is_a_configuration_error_naming_it(
+        command, text, field, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}: ")
+    assert "Traceback" not in err
+
+
 def test_solve_lyapunov_weight_without_lam_names_lam(capsys):
     code = main(["solve", "--system", "lorenz63", "--T", "0.4", "--N", "4",
                  "--xi", "10", "--h", "0.01", "--check", "standard",

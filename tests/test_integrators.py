@@ -581,6 +581,35 @@ def test_tangent_blowup_step_and_chunk_parity():
     assert errors[0][0] is not None and errors[0][1] == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda prop, system, U: propagate(prop, system, 0.0, U),
+    lambda prop, system, U: propagate_with_jacobian(prop, system, 0.0, U),
+    lambda prop, system, U: propagate_with_tangent(prop, system, 0.0, U,
+                                                   np.ones(U.shape + (2,)))],
+    ids=["propagate", "jacobian", "tangent"])
+def test_numpy_step_loop_blowup_is_one_error_and_no_warning(call):
+    """The numpy step loops overflow quietly: under warnings-as-errors a
+    blow-up still surfaces as the BlowUpError that names its step."""
+    system = array_only(make_linear(80.0))
+    prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
+    with pytest.raises(BlowUpError) as err:
+        call(prop, system, np.array([[1e-300], [1.0]]))
+    assert err.value.step_index is not None and err.value.chunk_index == 1
+
+
+def test_propagate_with_tangent_leaves_the_callers_block():
+    sys40 = make_lorenz96()
+    prop = Propagator(tableau=RK4, step=1e-3, steps_per_call=20)
+    U = np.stack([sys40.params["F"] + np.linspace(0.0, 1.0, 40)] * 3)
+    G = np.broadcast_to(np.eye(40), (3, 40, 40)).copy()
+    seed = G.copy()
+    out, tangent = propagate_with_tangent(prop, sys40, 0.0, U, G)
+    assert np.array_equal(G, seed)
+    state, jac = propagate_with_jacobian(prop, sys40, 0.0, U)
+    assert np.array_equal(out, state) and np.array_equal(tangent, jac)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_tangent_only_blowup_message_parity():
     """A tangent block that overflows while the state stays finite raises
