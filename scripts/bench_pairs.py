@@ -13,9 +13,10 @@ wins, losses and ties against the base, "better" read from
 ``BENCHMARK.json``, and for each end-to-end metric a ``verdict`` against its
 bound there (see :func:`verdict`).  It also records the seed, the CPU
 count, the numpy version, the kernel path, each side's kernel build flags
-(``kernel_flags``, read from that side's checkout) and every run's metrics
-beside its round count (``rounds``: more rounds in a run of fixed length can
-raise its peak RSS).  ``rss_fit`` holds, per workload and side, the
+(``kernel_flags``, read from that side's checkout), each side's line count
+of its package modules (``src_lines``, see :func:`src_lines`) and every
+run's metrics beside its round count (``rounds``: more rounds in a run of
+fixed length can raise its peak RSS).  ``rss_fit`` holds, per workload and side, the
 least-squares line of ``peak_rss_mib`` against ``rounds`` (see
 :func:`rss_fit`).
 """
@@ -170,6 +171,13 @@ def kernel_flags(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules in ``checkout``: the newlines in
+    ``src/paratime/*.py``, as ``cat src/paratime/*.py | wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "paratime").glob("*.py"))
+
+
 def environment() -> dict:
     import numpy
 
@@ -206,6 +214,8 @@ def main(argv=None) -> int:
         result = {"base": base, "seed": args.seed, **environment(),
                   "kernel_flags": {side: kernel_flags(checkouts[side])
                                    for side in SIDES},
+                  "src_lines": {side: src_lines(checkouts[side])
+                                for side in SIDES},
                   "workloads": {}, "runs": {}, "rss_fit": {}}
         for workload in workloads:
             pairs = []

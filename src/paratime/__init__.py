@@ -3,15 +3,15 @@
 from .criteria import (NormEquivalence, StopCriterion, base_weight, check,
                        equivalence_constants, proximity, update_lipschitz,
                        weighted_norm)
-from .bounds import (BallBudget, ContractionBound, SourceBound, ball_budget,
-                     beta_bound, empirical_order, estimate_mu_nu,
-                     outer_ball_radius, source_term_empirical,
-                     source_term_theoretical, spectral_norm, transport_term)
+from .bounds import (ContractionBound, SourceBound, beta_bound,
+                     empirical_order, estimate_mu_nu, outer_ball_radius,
+                     source_term_empirical, source_term_theoretical,
+                     spectral_norm, transport_term)
 from .config import SolveConfig, SweepConfig
 from .engine import (RunReport, TrajectoryVec, coarse_sweep,
                      fine_serial_reference, parareal_iterate, parareal_solve)
 from .errors import (BlowUpError, ConfigError, DiagnosticUnavailable,
-                     ParatimeError, StepFailureError)
+                     NumericalFailure, ParatimeError, StepFailureError)
 from .experiments import emit_plotdata, run_single, run_sweep
 from .integrators import (ButcherTableau, GridSpec, Propagator,
                           coarse_propagator, fine_propagator, get_tableau,

@@ -25,6 +25,7 @@ fine and coarse chunk Jacobians and a copy of each one's identity seed, to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +71,6 @@ class SourceBound:
     C2: float
     C3: float
     h_max: float
-    step_size_ok: bool
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,6 @@ class ContractionBound:
     C3: float
     h_max: float
     source_theoretical: float
-
-
-@dataclass(frozen=True)
-class BallBudget:
-    """Initial-error radius R that guarantees tolerance r within K iterations."""
-
-    r: float
-    R: float
-    K: int
-    q: float
-    beta: float
-    slow: bool
 
 
 def estimate_mu_nu(system: OdeSystem, times: Sequence[float],
@@ -188,8 +176,8 @@ def source_term_theoretical(tabF: ButcherTableau, tabG: ButcherTableau,
     C1 carries the internal stage coupling of the two tableaux, C2 the
     Jacobian drift missed by the longer coarse steps, C3 the curvature
     mismatch of the two methods (vanishing when b^T c agrees and xi = 1).
-    Also reports the step-size ceiling below which the stage algebra is
-    well-posed; the returned flag is False when h breaches it.
+    Also reports the step-size ceiling h_max below which the stage algebra
+    is well-posed.
     """
     if xi < 1 or int(xi) != xi or L < 1 or int(L) != L:
         raise ConfigError("source_term_theoretical needs integer xi >= 1, L >= 1")
@@ -206,13 +194,12 @@ def source_term_theoretical(tabF: ButcherTableau, tabG: ButcherTableau,
     if mu == 0.0:
         C2 = 0.0 if nu == 0.0 else np.inf
         return SourceBound(bound=0.0, C1=float(C1), C2=float(C2), C3=float(C3),
-                           h_max=np.inf, step_size_ok=True)
+                           h_max=np.inf)
     C2 = 0.5 * (xi - 1.0) * (1.0 + nu / mu ** 2)
     h_max = 1.0 / (mu * stage_sup) if stage_sup > 0.0 else np.inf
     bound = L * xi * (h * mu) ** 2 * (C1 + C2 + C3)
     return SourceBound(bound=float(bound), C1=float(C1), C2=float(C2),
-                       C3=float(C3), h_max=float(h_max),
-                       step_size_ok=bool(h < h_max))
+                       C3=float(C3), h_max=float(h_max))
 
 
 def beta_bound(fine: Propagator, coarse: Propagator, system: OdeSystem,
@@ -237,20 +224,26 @@ def outer_ball_radius(r: float, beta: float, K: int, q: float = 1.0) -> float:
 
     Linear convergence (q = 1): R = r / beta^K, which collapses to R <= r when
     beta >= 1 (slow convergence: the guess must already be about as accurate
-    as the target).  Higher orders use the compounded-exponent form.
+    as the target).  Higher orders use R = (r / beta^e)^(1 / q^K) with
+    e = (q^K - 1) / (q - 1).  beta = 0 gives inf.  Where beta^e leaves the
+    float range R comes from its logarithm: inf or 0 for q = 1.
     """
-    if r <= 0.0 or beta <= 0.0 or K < 1 or q < 1.0:
-        raise ConfigError("outer_ball_radius needs r > 0, beta > 0, K >= 1, q >= 1")
-    if abs(q - 1.0) < 1e-12:
-        return float(r / beta ** K)
-    expo = (q ** K - 1.0) / (q - 1.0)
-    return float((r / beta ** expo) ** (1.0 / q ** K))
-
-
-def ball_budget(r: float, beta: float, K: int, q: float = 1.0) -> BallBudget:
-    R = outer_ball_radius(r, beta, K, q)
-    return BallBudget(r=r, R=R, K=K, q=q, beta=beta,
-                      slow=bool(beta >= 1.0 and abs(q - 1.0) < 1e-12))
+    if not (r > 0.0 and beta >= 0.0 and K >= 1 and 1.0 <= q < np.inf):
+        raise ConfigError("outer_ball_radius needs r > 0, beta >= 0, K >= 1 "
+                          "and a finite q >= 1")
+    linear = abs(q - 1.0) < 1e-12
+    try:
+        if linear:
+            return float(r / beta ** K)
+        expo = (q ** K - 1.0) / (q - 1.0)
+        return float((r / beta ** expo) ** (1.0 / q ** K))
+    except (OverflowError, ZeroDivisionError):
+        # log R = (log r - e log beta) / q^K, with e / q^K = (1 - q^-K) / (q - 1);
+        # beta = 0 has log beta = -inf, and so R = inf.
+        root = 1.0 if linear else q ** -K
+        share = K if linear else (1.0 - root) / (q - 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.exp(root * log(r) - share * np.log(beta)))
 
 
 def empirical_order(error_history: Sequence[float]):

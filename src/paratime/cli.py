@@ -24,8 +24,7 @@ from . import _kernel
 from . import bounds as bounds_mod
 from . import engine, experiments, integrators, metrics
 from .config import SolveConfig, SweepConfig, load_config
-from .errors import (BlowUpError, ConfigError, StepFailureError,
-                     require_positive)
+from .errors import ConfigError, NumericalFailure, require_positive
 from .presets import PRESETS
 
 
@@ -132,6 +131,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.K < 1:
+        raise ConfigError(f"--K: must be >= 1, got {args.K}")
+    if not 1.0 <= args.q < float("inf"):
+        raise ConfigError(f"--q: must be >= 1 and finite, got {args.q}")
     cfg = _solve_config(args)
     require_positive("eps", cfg.eps)  # the inner radius r of the ball budget
     system = cfg.resolve_system()
@@ -141,21 +144,21 @@ def _cmd_bounds(args) -> int:
     ref = engine.fine_serial_reference(fine, system, grid, u0)
     cb = bounds_mod.beta_bound(fine, coarse, system, grid,
                                grid.interface_times, ref.states)
-    budget = bounds_mod.ball_budget(r=cfg.eps, beta=cb.beta, K=args.K, q=args.q)
+    R = bounds_mod.outer_ball_radius(cfg.eps, cb.beta, args.K, args.q)
 
     rows = [("beta", cb.beta), ("transport", cb.transport),
             ("source_empirical", cb.source), ("source_theoretical",
                                               cb.source_theoretical),
             ("g_norm_sup", cb.g_norm_sup), ("mu", cb.mu), ("nu", cb.nu),
             ("C1", cb.C1), ("C2", cb.C2), ("C3", cb.C3), ("h_max", cb.h_max),
-            ("h", grid.h), ("outer_radius_R", budget.R),
-            ("inner_radius_r", budget.r), ("K_budget", budget.K)]
+            ("h", grid.h), ("outer_radius_R", R), ("inner_radius_r", cfg.eps),
+            ("K_budget", args.K)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6g}")
     if grid.h >= cb.h_max:
         print("warning: h exceeds the step-size ceiling h_max")
-    if budget.slow:
+    if cb.beta >= 1.0 and abs(args.q - 1.0) < 1e-12:
         print("warning: beta >= 1, coarse solver must be nearly as accurate "
               "as the fine solver")
     if args.out:
@@ -170,6 +173,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_basin(args) -> int:
     cfg = _solve_config(args)
     system = cfg.resolve_system()
+    for flag, coord in (("--coord-i", args.coord_i), ("--coord-j", args.coord_j)):
+        if not 0 <= coord < system.dim:
+            raise ConfigError(f"{flag}: must be in 0..{system.dim - 1}, got {coord}")
+    if args.coord_j == args.coord_i:
+        raise ConfigError(f"--coord-j: must differ from --coord-i, got {args.coord_j}")
+    if args.resolution < 2:
+        raise ConfigError(f"--resolution: must be >= 2, got {args.resolution}")
     u0 = cfg.resolve_u0(system)
     grid = cfg.resolve_grid()
     fine = integrators.fine_propagator(grid, integrators.get_tableau(cfg.fine))
@@ -182,6 +192,8 @@ def _cmd_basin(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
+    for flag in ("horizon", "renorm", "step"):
+        require_positive(f"--{flag}", getattr(args, flag))
     cfg = _solve_config(args)
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
@@ -265,7 +277,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (BlowUpError, StepFailureError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

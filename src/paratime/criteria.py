@@ -64,7 +64,6 @@ class NormEquivalence:
     theta: float
     c_lower: float
     C_upper: float
-    N: int
 
 
 def _block_norms(a: Array, b: Array) -> Array:
@@ -157,7 +156,7 @@ def equivalence_constants(Lambda_F: float, w: float, N: int) -> NormEquivalence:
         C = float(N) * float(N)
     else:
         C = N * (theta ** N - 1.0) / (theta - 1.0)
-    return NormEquivalence(theta=theta, c_lower=c, C_upper=C, N=N)
+    return NormEquivalence(theta=theta, c_lower=c, C_upper=C)
 
 
 def check(criterion: StopCriterion, U_curr, U_prev, fine_prev_values: Array,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import criteria
 from .criteria import StopCriterion
-from .errors import BlowUpError, ConfigError
+from .errors import ConfigError, NumericalFailure
 from .integrators import GridSpec, Propagator, propagate
 from .systems import OdeSystem
 
@@ -43,11 +43,8 @@ Array = np.ndarray
 
 
 class TrajectoryVec:
-    """Interface values U_0 ... U_N of a chunked trajectory.
-
-    Thin wrapper over an ``(N+1, d)`` array; the array is frozen so iterate
-    snapshots can be shared safely.
-    """
+    """Interface values U_0 ... U_N of a chunked trajectory: ``states``, a
+    frozen ``(N+1, d)`` copy, so that iterate snapshots can be shared."""
 
     __slots__ = ("states",)
 
@@ -58,20 +55,6 @@ class TrajectoryVec:
                 f"trajectory states must be (N+1, d), got shape {states.shape}")
         states.setflags(write=False)
         self.states = states
-
-    @property
-    def N(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
-
-    def __getitem__(self, n) -> Array:
-        return self.states[n]
-
-    def __repr__(self):
-        return f"TrajectoryVec(N={self.N}, d={self.d})"
 
 
 @dataclass
@@ -103,9 +86,8 @@ def _sweep(prop: Propagator, system: OdeSystem, grid: GridSpec,
     for n in range(1, grid.N + 1):
         try:
             states[n] = propagate(prop, system, (n - 1) * grid.dT, states[n - 1])
-        except BlowUpError as exc:
-            raise BlowUpError(f"sweep blew up in chunk {n}: {exc}",
-                              step_index=exc.step_index, chunk_index=n) from exc
+        except NumericalFailure as exc:
+            raise exc.in_chunk("sweep", n) from exc
     return states
 
 
@@ -150,11 +132,9 @@ def _fine_sweep_batched(fine: Propagator, system: OdeSystem, grid: GridSpec,
             return values
     try:
         values[todo] = propagate(fine, system, todo * grid.dT, inputs[todo])
-    except BlowUpError as exc:
-        chunk = (None if exc.chunk_index is None
-                 else int(todo[exc.chunk_index]) + 1)
-        raise BlowUpError(f"fine sweep blew up in chunk {chunk}: {exc}",
-                          step_index=exc.step_index, chunk_index=chunk) from exc
+    except NumericalFailure as exc:
+        chunk = None if exc.chunk_index is None else int(todo[exc.chunk_index]) + 1
+        raise exc.in_chunk("fine sweep", chunk) from exc
     return values
 
 
@@ -179,9 +159,8 @@ def _correction_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
             try:
                 g_new[n - 1] = propagate(coarse, system, (n - 1) * grid.dT,
                                          nxt[n - 1])
-            except BlowUpError as exc:
-                raise BlowUpError(f"correction sweep blew up in chunk {n}: {exc}",
-                                  step_index=exc.step_index, chunk_index=n) from exc
+            except NumericalFailure as exc:
+                raise exc.in_chunk("correction sweep", n) from exc
         # Grouping the coarse terms keeps the cancellation exact once a chunk
         # input has converged bitwise, so early chunks lock onto the fine
         # solution without rounding drift.

@@ -19,7 +19,7 @@ import numpy as np
 from . import engine, metrics
 from .config import SolveConfig, SweepConfig
 from .engine import RunReport, TrajectoryVec
-from .errors import BlowUpError, ConfigError, StepFailureError
+from .errors import ConfigError, NumericalFailure
 from .integrators import Propagator, get_tableau, propagate
 from .metrics import BasinGrid, MetricsReport
 
@@ -61,8 +61,7 @@ def run_single(cfg: SolveConfig,
 
     w1 = metrics.trajectory_w1(report.solution, reference)
     err = float(np.linalg.norm(report.solution.states - reference.states))
-    met = MetricsReport(K=report.K,
-                        S=metrics.speedup_model(grid.N, report.K, grid.xi),
+    met = MetricsReport(S=metrics.speedup_model(grid.N, report.K, grid.xi),
                         serial_work=metrics.serial_work(report.K, grid.dT),
                         w1=w1, error_l2=err)
     return report, met
@@ -98,7 +97,7 @@ class _ReferenceCache:
             try:
                 state = self.states[i] = propagate(prop, system,
                                                    int(start) * h, state)
-            except (BlowUpError, StepFailureError) as exc:
+            except NumericalFailure as exc:
                 self.failure = (int(start), exc)
                 self.steps, self.states = self.steps[:i], self.states[:i]
                 break
@@ -118,13 +117,8 @@ class _ReferenceCache:
             # stretch lies inside one of its chunks.
             start, exc = self.failure
             n = start // steps_per_chunk + 1
-            if isinstance(exc, BlowUpError) and exc.step_index is not None:
-                step = start - (n - 1) * steps_per_chunk + exc.step_index
-                raise BlowUpError(
-                    f"fine reference blew up in chunk {n}: state became "
-                    f"non-finite at internal step {step}",
-                    step_index=step, chunk_index=n) from exc
-            raise type(exc)(f"fine reference failed in chunk {n}: {exc}") from exc
+            raise exc.in_chunk("fine reference", n,
+                               start - (n - 1) * steps_per_chunk) from exc
         rows = np.searchsorted(self.steps, wanted)
         if not np.array_equal(self.steps.take(rows, mode="clip"), wanted):
             raise KeyError(f"reference walk has no snapshot for grid {grid}")
@@ -163,7 +157,7 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
                        lipschitz_final=(report.lipschitz_history[-1]
                                         if report.lipschitz_history
                                         else float("nan")))
-        except (BlowUpError, StepFailureError) as exc:
+        except NumericalFailure as exc:
             rec.update(K=0, converged=False, S=float("nan"),
                        serial_work=float("nan"), w1=float("nan"),
                        error_l2=float("nan"), lipschitz_final=float("nan"),

@@ -67,7 +67,7 @@ into row blocks that run on threads at once, bitwise equal to one call: on
 ``(64, 40)`` fine sweep of 300 steps 1.1-1.6x (see ``_kernel``).
 
 Tangents on implicit tableaux, broadcast tangent blocks, implicit steps
-with ``d > 1`` and the stepwise re-run that names a blow-up step use the
+with ``d > 1`` and the stepwise re-run that names a failing step use the
 numpy step, and so does everything when no C compiler is available
 (:func:`kernel_path` says which).
 """
@@ -285,10 +285,11 @@ def _step_explicit(tableau, system, t, u, h, tangent):
     return u_next, t_next
 
 
-def _stage_failure(residual) -> StepFailureError:
+def _stage_failure(residual, row=None) -> StepFailureError:
     return StepFailureError(
         f"implicit stage solve did not converge in {NEWTON_MAXITER} iterations "
-        f"(max residual {residual:.3e})", residual=float(residual))
+        f"(max residual {residual:.3e})", residual=float(residual),
+        chunk_index=row)
 
 
 def _solve_small(M, rhs):
@@ -325,7 +326,8 @@ def _step_implicit(tableau, system, t, u, h, tangent):
         else:
             y = np.where(converged[..., np.newaxis], y, y + delta)
     else:
-        raise _stage_failure(np.max(res))
+        raise _stage_failure(np.max(res), None if converged.ndim == 0
+                             else int(np.argmin(converged)))
     u_next = u + (h * b0) * f
     if tangent is None:
         return u_next, None
@@ -359,17 +361,10 @@ def rk_step_with_tangent(tableau: ButcherTableau, system: OdeSystem, t,
     return _step_implicit(tableau, system, t, u, h, tangent)
 
 
-def _check_finite(u, step_index):
-    ok = np.isfinite(u).all(axis=-1)
-    if np.all(ok):
-        return
-    if ok.ndim == 0:
-        raise BlowUpError(f"state became non-finite at internal step {step_index}",
-                          step_index=step_index)
-    bad = int(np.argmin(ok))
-    raise BlowUpError(
-        f"state became non-finite at internal step {step_index} "
-        f"(batch element {bad})", step_index=step_index, chunk_index=bad)
+def _at_step(step_index, row):
+    """Where in a chunk it failed: the step, and the batch row of a batch."""
+    return (f"at internal step {step_index}"
+            + ("" if row is None else f" (batch element {row})"))
 
 
 # Overflow in a numpy step loop is expected on the way to a blow-up, so numpy
@@ -378,14 +373,23 @@ def _check_finite(u, step_index):
 _quiet = partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
 
 
-def _locate_blowup(prop, system, t0, u):
-    """Re-run a failed chunk with per-step checks to name the failing step."""
+def _locate_failure(prop, system, t0, u):
+    """Re-run a failed chunk on the numpy step, one step at a time, to name
+    the step and the batch row where it blows up or its Newton solve fails."""
     with _quiet():
         for i in range(prop.steps_per_call):
-            t = t0 + i * prop.step
-            u = rk_step(prop.tableau, system, t, u, prop.step)
-            _check_finite(u, i)
-    raise BlowUpError("chunk output non-finite but no failing step found")
+            try:
+                u = rk_step(prop.tableau, system, t0 + i * prop.step, u, prop.step)
+            except StepFailureError as exc:
+                raise StepFailureError(
+                    f"{exc} {_at_step(i, exc.chunk_index)}", exc.residual, i,
+                    exc.chunk_index) from None
+            ok = np.isfinite(u).all(axis=-1)
+            if not np.all(ok):
+                bad = None if ok.ndim == 0 else int(np.argmin(ok))
+                raise BlowUpError(f"state became non-finite {_at_step(i, bad)}",
+                                  i, bad)
+    raise BlowUpError("chunk failed, but not when re-run step by step")
 
 
 def _float_step_explicit(rhs, coeffs, t, u):
@@ -478,32 +482,33 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     step = prop.step
     kernel = _float_kernel(prop, system, t0, u)
     compiled = None if kernel is not None else _compiled_kernel(prop, system, u)
-    if kernel is not None:
-        t_start = float(t0)
-        y = u.tolist()
-        for i in range(prop.steps_per_call):
-            y = kernel(t_start + i * step, y)
-        out = np.array(y)
-        finite = np.isfinite(out).all()
-    elif compiled is not None:
-        out, status, res = compiled(u)
-        if status == _kernel.NEWTON_FAILED:
-            raise _stage_failure(np.max(res))
-        if status == _kernel.NO_MEMORY:
-            raise MemoryError("compiled kernel: out of memory")
-        finite = status == _kernel.OK
-    else:
-        out = u
-        with _quiet():
+    try:
+        if kernel is not None:
+            t_start = float(t0)
+            y = u.tolist()
             for i in range(prop.steps_per_call):
-                t = t0 + i * step
-                out = rk_step(prop.tableau, system, t, out, step)
-        finite = np.isfinite(out).all()
+                y = kernel(t_start + i * step, y)
+            out = np.array(y)
+            finite = np.isfinite(out).all()
+        elif compiled is not None:
+            out, status, _ = compiled(u)
+            if status == _kernel.NO_MEMORY:
+                raise MemoryError("compiled kernel: out of memory")
+            finite = status == _kernel.OK  # not NONFINITE nor NEWTON_FAILED
+        else:
+            out = u
+            with _quiet():
+                for i in range(prop.steps_per_call):
+                    t = t0 + i * step
+                    out = rk_step(prop.tableau, system, t, out, step)
+            finite = np.isfinite(out).all()
+    except StepFailureError:
+        finite = False
     # Finite check once per chunk; polynomial vector fields keep non-finite
-    # values non-finite, so a blow-up always surfaces at the chunk end.  The
+    # values non-finite, so a blow-up always surfaces at the chunk end.  A
     # failed chunk is re-run stepwise only to report the failing step.
     if not finite:
-        _locate_blowup(prop, system, t0, u)
+        _locate_failure(prop, system, t0, u)
     return out
 
 
@@ -554,7 +559,7 @@ def _propagate_tangent(prop, system, t0, u, tangent, copy):
         finite = np.isfinite(out).all()
         tangent_finite = np.isfinite(tangent).all()
     if not finite:
-        _locate_blowup(prop, system, t0, u)
+        _locate_failure(prop, system, t0, u)
     if not tangent_finite:
         raise BlowUpError("tangent block became non-finite")
     return out, tangent

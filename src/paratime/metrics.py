@@ -23,7 +23,6 @@ Array = np.ndarray
 class MetricsReport:
     """Headline per-run metrics."""
 
-    K: int
     S: float
     serial_work: float
     w1: float

@@ -74,6 +74,20 @@ def test_kernel_flags_read_from_each_checkout(bench_pairs, tmp_path):
     assert bench_pairs.kernel_flags(tmp_path) is None
 
 
+def test_src_lines_counted_in_each_checkout(bench_pairs, tmp_path):
+    """As ``cat src/paratime/*.py | wc -l``: newlines in the package's
+    modules only, a last line without one not counted."""
+    for name, files, want in (
+            ("base", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}, 3),
+            ("change", {"a.py": "x = 1\n", "b.py": "z = 3", "c.txt": "\n\n"},
+             1)):
+        package = tmp_path / name / "src" / "paratime"
+        package.mkdir(parents=True)
+        for file, text in files.items():
+            (package / file).write_text(text)
+        assert bench_pairs.src_lines(tmp_path / name) == want
+
+
 @pytest.mark.parametrize("base, change, want", [
     # 10/10 won, and the median gap (0.3) exceeds the base IQR (0.035)
     ([1.0, 1.02, 0.98, 1.05, 0.95, 1.01, 0.99, 1.03, 0.97, 1.0],

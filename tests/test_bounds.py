@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from paratime import bounds, presets
-from paratime.bounds import (ball_budget, beta_bound, empirical_order,
-                             estimate_mu_nu, outer_ball_radius,
-                             source_term_empirical, source_term_theoretical,
-                             spectral_norm, transport_term)
+from paratime.bounds import (beta_bound, empirical_order, estimate_mu_nu,
+                             outer_ball_radius, source_term_empirical,
+                             source_term_theoretical, spectral_norm,
+                             transport_term)
 from paratime.criteria import StopCriterion
 from paratime.engine import (TrajectoryVec, fine_serial_reference,
                              parareal_iterate, parareal_solve)
@@ -151,7 +151,7 @@ def test_source_term_theoretical_constants():
     assert sb.bound == pytest.approx(
         10 * 10 * (1e-3 * 10.0) ** 2 * (sb.C1 + sb.C2 + sb.C3))
     assert sb.h_max == pytest.approx(1.0 / (10.0 * 10 * spectral_norm(RK4.A)))
-    assert sb.step_size_ok
+    assert 1e-3 < sb.h_max
     # degenerate mu
     sb = source_term_theoretical(RK4, RK4, h=1e-3, xi=10, L=10, mu=0.0, nu=0.0)
     assert sb.bound == 0.0 and np.isinf(sb.h_max)
@@ -159,7 +159,7 @@ def test_source_term_theoretical_constants():
 
 def test_source_term_theoretical_warns_large_step():
     sb = source_term_theoretical(RK4, RK4, h=1.0, xi=10, L=1, mu=10.0, nu=0.0)
-    assert not sb.step_size_ok
+    assert not 1.0 < sb.h_max
 
 
 def _fd_update_norm(system, grid, fine, coarse, ref, delta=1e-6):
@@ -241,10 +241,23 @@ def test_outer_ball_radius_formulas():
     assert got == pytest.approx(0.1 ** 0.25, abs=1e-12)
     # beta = 1 with q = 1: the guess must already be inside the target
     assert outer_ball_radius(1e-3, 1.0, 7, 1.0) == pytest.approx(1e-3)
-    assert ball_budget(1e-3, 1.2, 3).slow
-    assert not ball_budget(1e-3, 0.2, 3).slow
     with pytest.raises(ConfigError):
         outer_ball_radius(0.0, 0.5, 1)
+
+
+def test_outer_ball_radius_over_the_whole_beta_range():
+    assert outer_ball_radius(1e-9, 0.0, 3) == np.inf
+    assert outer_ball_radius(1e-9, 0.0, 3, 2.0) == np.inf
+    assert outer_ball_radius(1e-9, 0.0114, 100000) == np.inf  # beta^K underflows
+    assert outer_ball_radius(1e-9, 267.0, 200) == 0.0  # beta^K overflows
+    # For q > 1, R = (r / beta^e)^(1/q^K) tends to beta^(-1/(q-1)) as K grows,
+    # also where beta^e, or q^K, leaves the float range.
+    assert outer_ball_radius(1e-9, 267.0, 30, 2.0) == pytest.approx(
+        1.0 / 267.0, rel=1e-7)
+    assert outer_ball_radius(1e-9, 0.5, 5000, 2.0) == pytest.approx(2.0)
+    assert outer_ball_radius(1e-9, 0.5, 10 ** 6, 1.0 + 1e-9) == np.inf
+    with pytest.raises(ConfigError):
+        outer_ball_radius(1e-9, 0.5, 3, np.inf)
 
 
 def test_outer_ball_radius_q_limit():

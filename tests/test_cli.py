@@ -301,3 +301,55 @@ def test_sweep_config_of_the_wrong_shape_names_the_field(text, field,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {field}: ")
     assert "Traceback" not in err
+
+
+# The README example and its horizon doubled, where beta is about 267.
+README_BOUNDS = ["bounds", "--preset", "lorenz63-single", "--N", "8", "--T", "0.8"]
+BETA_267 = ["bounds", "--preset", "lorenz63-single", "--N", "16", "--T", "1.6"]
+
+
+@pytest.mark.parametrize("argv, radius, slow", [
+    (README_BOUNDS + ["--K", "3"], "0.000669769", False),
+    (README_BOUNDS + ["--xi", "1", "--h", "0.01"], "inf", False),  # beta = 0
+    (README_BOUNDS + ["--K", "100000"], "inf", False),  # beta^K underflows
+    (BETA_267 + ["--K", "3"], "5.22951e-17", True),
+    (BETA_267 + ["--K", "200"], "0", True),  # beta^K overflows
+    # beta^e overflows, and the root 1/q^K brings R back to about 1/beta.
+    (BETA_267 + ["--K", "30", "--q", "2"], "0.00373956", False)])
+def test_bounds_prints_the_outer_radius_for_any_beta(argv, radius, slow,
+                                                      capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"outer_radius_R      {radius}\n" in out
+    assert ("warning: beta >= 1" in out) == slow
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (README_BOUNDS + ["--K", "0"], "--K"),
+    (README_BOUNDS + ["--q", "0.5"], "--q"),
+    (["lyapunov", "--system", "lorenz63", "--horizon", "0"], "--horizon"),
+    (["lyapunov", "--system", "lorenz63", "--renorm", "0"], "--renorm"),
+    (["lyapunov", "--system", "lorenz63", "--step", "-1"], "--step"),
+    (["basin", "--preset", "lorenz63-single", "--coord-j", "5"], "--coord-j"),
+    (["basin", "--preset", "lorenz63-single", "--coord-j", "0"], "--coord-j"),
+    (["basin", "--preset", "lorenz63-single", "--resolution", "1"],
+     "--resolution")])
+def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, tmp_path,
+                                                       capsys):
+    if argv[0] == "basin":
+        argv = argv + ["--lo-i", "-20", "--hi-i", "20", "--lo-j", "10",
+                       "--hi-j", "45", "--out", str(tmp_path / "basin.dat")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
+
+
+def test_newton_failure_names_the_chunk_and_step(capsys):
+    # The stage equation of u = -1 at h = 0.9 has no real root: the coarse
+    # guess fails in its first chunk.
+    assert main(["solve", "--system", "logistic", "--u0", "-1", "--fine",
+                 "implicit_euler", "--coarse", "implicit_euler", "--T", "3.6",
+                 "--N", "4", "--xi", "1", "--h", "0.9"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: sweep failed in chunk 1: implicit stage solve did "
+        "not converge in 50 iterations (max residual 3.213e+00) at internal "
+        "step 0\n")

@@ -8,7 +8,7 @@ from paratime.criteria import WEIGHT_MODES, StopCriterion
 from paratime.engine import (TrajectoryVec, coarse_sweep,
                              fine_serial_reference, parareal_iterate,
                              parareal_solve)
-from paratime.errors import BlowUpError, ConfigError
+from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
                                   coarse_propagator, fine_propagator,
                                   propagate)
@@ -40,7 +40,7 @@ def test_trajectory_vec_shape_check():
     with pytest.raises(ConfigError):
         TrajectoryVec(np.zeros(5))
     U = TrajectoryVec(np.zeros((4, 2)))
-    assert U.N == 3 and U.d == 2
+    assert U.states.shape == (4, 2)
     with pytest.raises(ValueError):
         U.states[0, 0] = 1.0  # snapshots are frozen
 
@@ -298,6 +298,34 @@ def test_fine_sweep_blowup_names_original_chunk():
         indices.append((err.value.step_index, err.value.chunk_index))
     assert indices[0] == indices[1]
     assert indices[0][1] == 5
+
+
+def test_newton_failure_names_the_chunk_in_both_sweeps():
+    """A Newton failure in the fine sweep (its changed rows or every row)
+    and in the correction sweep names the chunk and the step within it."""
+    system = make_logistic()
+    grid = GridSpec.make(T=10.8, N=4, xi=1, h=0.9)  # three steps per chunk
+    prop = fine_propagator(grid, IMPLICIT_EULER)
+    # From -0.001 the second implicit Euler step at h = 0.9 has no solution.
+    states = np.full((grid.N + 1, 1), 0.5)
+    states[2] = -0.001
+    prev_states = states.copy()
+    prev_states[[1, 2]] = 0.25  # rows 1 and 2 changed; chunk 3 fails
+    fine_values = np.full((grid.N, 1), 0.5)
+    fine_values[0] = -0.001  # the corrected input of chunk 2
+    coarse_prev = fine_values.copy()
+    coarse_prev[0] = propagate(prop, system, 0.0, states[0])
+    runs = [lambda: engine._fine_sweep_batched(prop, system, grid, states),
+            lambda: engine._fine_sweep_batched(prop, system, grid, states,
+                                               prev_states, fine_values),
+            lambda: engine._correction_sweep(prop, system, grid, states[0],
+                                             fine_values, coarse_prev)]
+    for run, chunk in zip(runs, (3, 3, 2)):
+        with pytest.raises(StepFailureError) as err:
+            run()
+        assert (err.value.step_index, err.value.chunk_index) == (1, chunk)
+        assert f"failed in chunk {chunk}: " in str(err.value)
+        assert err.value.residual > 0
 
 
 def test_solve_calls_sweeps_through_module_attributes(lorenz_setup, monkeypatch):

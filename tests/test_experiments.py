@@ -10,7 +10,7 @@ import yaml
 
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import fine_serial_reference
-from paratime.errors import BlowUpError, ConfigError
+from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
                                   read_sweep_csv, run_single, run_sweep,
                                   write_basin)
@@ -121,7 +121,6 @@ def test_bad_numbers_raise_config_error_naming_the_field(bad, field):
 
 def test_run_single_fills_metrics():
     report, met = run_single(small_solve_config())
-    assert met.K == report.K
     assert met.serial_work == pytest.approx(report.K * 0.8)
     assert met.error_l2 < 1e-8
     assert met.w1 >= 0.0
@@ -284,3 +283,25 @@ def test_reference_blow_up_keeps_the_rows_that_end_before_it(tmp_path):
         fine_serial_reference(fine_propagator(grid, RK4), make_logistic(),
                               grid, np.array([-0.1]))
     assert (serial.value.chunk_index, serial.value.step_index) == (3, 400)
+
+
+def test_reference_newton_failure_names_the_row_chunk_and_step(tmp_path):
+    """Implicit Euler at h = 0.9 from u0 = -0.001 fails in its second step.
+    The T = 0.9 row ends after the first and runs; the T = 3.6 row's one
+    chunk fails at its step 1, as the row's own serial walk does."""
+    base = dict(system="logistic", u0=[-0.001], fine="implicit_euler",
+                coarse="implicit_euler", T=0.9, N=1, xi=1, h=0.9)
+    sweep = SweepConfig.from_dict(dict(base=base, mode="time",
+                                       T_list=[0.9, 3.6]))
+    out = tmp_path / "newton.csv"
+    run_sweep(sweep, str(out))
+    first, second = read_sweep_csv(str(out))
+    assert first["converged"] and first["error"] == ""
+    assert not second["converged"]
+    grid = GridSpec.make(T=3.6, N=1, xi=1, h=0.9)
+    with pytest.raises(StepFailureError) as serial:
+        fine_serial_reference(fine_propagator(grid, IMPLICIT_EULER),
+                              make_logistic(), grid, np.array([-0.001]))
+    assert (serial.value.chunk_index, serial.value.step_index) == (1, 1)
+    assert second["error"] == str(serial.value).replace(
+        "sweep", "fine reference", 1)

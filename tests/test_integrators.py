@@ -290,6 +290,23 @@ def test_newton_failure_same_on_float_path():
     assert residuals[0] == residuals[1]
 
 
+def test_newton_failure_names_its_step_and_batch_row():
+    # From u = -0.001 the first step lands below -(1 - h)^2 / (4 h), where
+    # the stage equation at h = 0.9 has no real root, so the second fails.
+    sys1 = make_logistic()
+    prop = Propagator(tableau=IMPLICIT_EULER, step=0.9, steps_per_call=3)
+    failures = []
+    for u, row in ((np.array([-0.001]), None),
+                   (np.array([[0.5], [-0.001], [0.2]]), 1)):
+        for system in (sys1, array_only(sys1)):
+            with pytest.raises(StepFailureError) as err:
+                propagate(prop, system, 0.0, u)
+            assert (err.value.step_index, err.value.chunk_index) == (1, row)
+            failures.append((err.value.residual, str(err.value)))
+    assert failures[0] == failures[1] and failures[2] == failures[3]
+    assert failures[2][1].endswith("at internal step 1 (batch element 1)")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_newton_derivative_is_a_step_failure():
     # u' = u with h = 1: the Newton derivative 1 - h a is exactly zero, and
