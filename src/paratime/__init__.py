@@ -12,13 +12,13 @@ from .engine import (RunReport, TrajectoryVec, coarse_sweep,
                      fine_serial_reference, parareal_iterate, parareal_solve)
 from .errors import (BlowUpError, ConfigError, DiagnosticUnavailable,
                      NumericalFailure, ParatimeError, StepFailureError)
-from .experiments import emit_plotdata, run_single, run_sweep
+from .experiments import run_single, run_sweep
 from .integrators import (ButcherTableau, GridSpec, Propagator,
                           coarse_propagator, fine_propagator, get_tableau,
                           propagate, propagate_with_jacobian,
                           propagate_with_tangent, rk_step, stability_function)
-from .metrics import (BasinGrid, MetricsReport, basin_scan, lyapunov_estimate,
-                      speedup_model, trajectory_w1, wasserstein1)
+from .metrics import (MetricsReport, lyapunov_estimate, speedup_model,
+                      trajectory_w1, wasserstein1)
 from .systems import (OdeSystem, build_system, default_initial_state,
                       make_linear, make_logistic, make_lorenz63, make_lorenz96)
 

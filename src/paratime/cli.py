@@ -1,12 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``solve`` (one run), ``sweep`` (scaling study), ``bounds``
-(contraction report), ``basin`` (residual grid), ``lyapunov`` (exponent
-estimate), ``plotdata`` (series files from a sweep CSV).
+(contraction report) and ``lyapunov`` (exponent estimate).
 
-``solve``, ``bounds``, ``basin`` and ``lyapunov`` take ``--config``,
-``--preset`` and a flag for each ``SolveConfig`` field they read
-(``COMMAND_FIELDS``), and resolve, and so check, only those fields.
+``solve``, ``bounds`` and ``lyapunov`` take ``--config``, ``--preset`` and a
+flag for each ``SolveConfig`` field they read (``COMMAND_FIELDS``), and
+resolve, and so check, only those fields.
 ``sweep`` takes ``--N-list`` in the strong and weak modes and ``--T-list``
 in the time mode.
 
@@ -61,7 +60,6 @@ _GRID = ("T", "N", "xi", "h", "L")
 COMMAND_FIELDS = {
     "solve": tuple(FIELD_FLAGS),
     "bounds": ("system", "u0", "fine", "coarse", *_GRID, "eps"),
-    "basin": ("system", "u0", "fine", *_GRID),
     "lyapunov": ("system", "u0"),
 }
 
@@ -170,30 +168,11 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_basin(args) -> int:
-    cfg = _solve_config(args)
-    system = cfg.resolve_system()
-    for flag, coord in (("--coord-i", args.coord_i), ("--coord-j", args.coord_j)):
-        if not 0 <= coord < system.dim:
-            raise ConfigError(f"{flag}: must be in 0..{system.dim - 1}, got {coord}")
-    if args.coord_j == args.coord_i:
-        raise ConfigError(f"--coord-j: must differ from --coord-i, got {args.coord_j}")
-    if args.resolution < 2:
-        raise ConfigError(f"--resolution: must be >= 2, got {args.resolution}")
-    u0 = cfg.resolve_u0(system)
-    grid = cfg.resolve_grid()
-    fine = integrators.fine_propagator(grid, integrators.get_tableau(cfg.fine))
-    ranges = ((args.lo_i, args.hi_i), (args.lo_j, args.hi_j))
-    bg = metrics.basin_scan(system, fine, u0, args.coord_i, args.coord_j,
-                            ranges, args.resolution)
-    experiments.write_basin(bg, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_lyapunov(args) -> int:
     for flag in ("horizon", "renorm", "step"):
         require_positive(f"--{flag}", getattr(args, flag))
+    if not 0.0 <= args.spinup < float("inf"):
+        raise ConfigError(f"--spinup: must be >= 0 and finite, got {args.spinup}")
     cfg = _solve_config(args)
     system = cfg.resolve_system()
     u0 = cfg.resolve_u0(system)
@@ -202,13 +181,6 @@ def _cmd_lyapunov(args) -> int:
                                     renorm_interval=args.renorm,
                                     h=args.step)
     print(f"lambda={lam:.6g}")
-    return 0
-
-
-def _cmd_plotdata(args) -> int:
-    written = experiments.emit_plotdata(args.csv, args.kind, args.out_dir)
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 
@@ -240,18 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write a one-row CSV")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("basin", help="residual grid around one fine image")
-    _add_config_args(p, "basin")
-    p.add_argument("--coord-i", type=int, default=0)
-    p.add_argument("--coord-j", type=int, default=1)
-    p.add_argument("--lo-i", type=float, required=True)
-    p.add_argument("--hi-i", type=float, required=True)
-    p.add_argument("--lo-j", type=float, required=True)
-    p.add_argument("--hi-j", type=float, required=True)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_basin)
-
     p = sub.add_parser("lyapunov", help="leading exponent via tangent growth")
     _add_config_args(p, "lyapunov")
     p.add_argument("--spinup", type=float, default=20.0)
@@ -259,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--renorm", type=float, default=1.0)
     p.add_argument("--step", type=float, default=5e-3)
     p.set_defaults(func=_cmd_lyapunov)
-
-    p = sub.add_parser("plotdata", help="series files from a sweep CSV")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=("K_vs_T", "serial_work"))
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_plotdata)
 
     return parser
 

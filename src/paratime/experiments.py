@@ -1,4 +1,4 @@
-"""Experiment orchestration: single runs, scaling sweeps, plot data.
+"""Experiment orchestration: single runs and scaling sweeps.
 
 Sweeps write one CSV row per (criterion, grid point), in declared order,
 with all floating-point values printed to 6 significant digits.  Outputs
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,9 +17,9 @@ import numpy as np
 from . import engine, metrics
 from .config import SolveConfig, SweepConfig
 from .engine import RunReport, TrajectoryVec
-from .errors import ConfigError, NumericalFailure
+from .errors import NumericalFailure
 from .integrators import Propagator, get_tableau, propagate
-from .metrics import BasinGrid, MetricsReport
+from .metrics import MetricsReport
 
 CSV_COLUMNS = ["check", "weight", "N", "T", "dT", "xi", "h", "eps", "K",
                "converged", "S", "serial_work", "w1", "error_l2",
@@ -192,66 +190,3 @@ def read_sweep_csv(path: str) -> List[dict]:
         out.append(rec)
     return out
 
-
-def emit_plotdata(csv_path: str, kind: str, out_dir: str) -> List[str]:
-    """Write whitespace-separated series files for external plotting.
-
-    ``K_vs_T`` and ``serial_work`` emit one file per (check, weight) series
-    from a sweep CSV.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    if kind not in ("K_vs_T", "serial_work"):
-        raise ConfigError(f"emit_plotdata: unknown kind {kind!r}")
-    records = read_sweep_csv(csv_path)
-    required = {"K_vs_T": "K", "serial_work": "serial_work"}[kind]
-    series: Dict[Tuple[str, str], List[dict]] = {}
-    for rec in records:
-        series.setdefault((rec["check"], rec["weight"]), []).append(rec)
-    written = []
-    for (check, weight), recs in series.items():
-        path = os.path.join(out_dir, f"{kind}_{check}_{weight}.dat")
-        with open(path, "w") as fh:
-            fh.write(f"# {kind} series for check={check} weight={weight}\n")
-            fh.write("# N T dT K value\n")
-            for rec in recs:
-                fh.write(f"{rec['N']} {_fmt(rec['T'])} {_fmt(rec['dT'])} "
-                         f"{rec['K']} {_fmt(float(rec[required]))}\n")
-        written.append(path)
-    return written
-
-
-def write_basin(grid: BasinGrid, path: str) -> None:
-    """Dense text matrix with an axis-spec header (gnuplot-compatible)."""
-    with open(path, "w") as fh:
-        fh.write(f"# basin residual scan: coords ({grid.coord_i}, {grid.coord_j})\n")
-        fh.write(f"# coord_i {grid.coord_i} range {_fmt(float(grid.x_values[0]))} "
-                 f"{_fmt(float(grid.x_values[-1]))} n {grid.x_values.size}\n")
-        fh.write(f"# coord_j {grid.coord_j} range {_fmt(float(grid.y_values[0]))} "
-                 f"{_fmt(float(grid.y_values[-1]))} n {grid.y_values.size}\n")
-        fh.write("# center " + " ".join(_fmt(float(v)) for v in grid.center) + "\n")
-        for row in grid.values:
-            fh.write(" ".join(_fmt(float(v)) for v in row) + "\n")
-
-
-def read_basin(path: str) -> BasinGrid:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = [ln for ln in lines if ln.startswith("#")]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(header) < 4:
-        raise ConfigError(f"basin file {path!r}: missing header")
-    spec_i = header[1].split()
-    spec_j = header[2].split()
-    coord_i, lo_i, hi_i, n_i = (int(spec_i[2]), float(spec_i[4]),
-                                float(spec_i[5]), int(spec_i[7]))
-    coord_j, lo_j, hi_j, n_j = (int(spec_j[2]), float(spec_j[4]),
-                                float(spec_j[5]), int(spec_j[7]))
-    center = np.array([float(v) for v in header[3].split()[2:]])
-    values = np.array([[float(v) for v in ln.split()] for ln in data])
-    if values.shape != (n_i, n_j):
-        raise ConfigError(f"basin file {path!r}: matrix shape {values.shape} "
-                          f"does not match header ({n_i}, {n_j})")
-    return BasinGrid(coord_i=coord_i, coord_j=coord_j,
-                     x_values=np.linspace(lo_i, hi_i, n_i),
-                     y_values=np.linspace(lo_j, hi_j, n_j),
-                     values=values, center=center)

@@ -551,11 +551,14 @@ def _propagate_tangent(prop, system, t0, u, tangent, copy):
         tangent_finite = status != _kernel.TANGENT_NONFINITE
     else:
         out = u
-        with _quiet():
-            for i in range(prop.steps_per_call):
-                t = t0 + i * prop.step
-                out, tangent = rk_step_with_tangent(prop.tableau, system, t,
-                                                    out, tangent, prop.step)
+        try:
+            with _quiet():
+                for i in range(prop.steps_per_call):
+                    t = t0 + i * prop.step
+                    out, tangent = rk_step_with_tangent(
+                        prop.tableau, system, t, out, tangent, prop.step)
+        except StepFailureError:
+            _locate_failure(prop, system, t0, u)
         finite = np.isfinite(out).all()
         tangent_finite = np.isfinite(tangent).all()
     if not finite:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, require_positive
 from .integrators import RK4, Propagator, propagate, propagate_with_tangent
 from .systems import OdeSystem
 
@@ -27,18 +27,6 @@ class MetricsReport:
     serial_work: float
     w1: float
     error_l2: float
-
-
-@dataclass(frozen=True)
-class BasinGrid:
-    """Residual landscape over a 2-D slice of one interface state."""
-
-    coord_i: int
-    coord_j: int
-    x_values: Array
-    y_values: Array
-    values: Array
-    center: Array
 
 
 def wasserstein1(a, b) -> float:
@@ -108,20 +96,21 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
     ``renorm_interval``, and the mean growth rate after the spin-up is
     returned.
     """
-    if horizon <= 0.0 or renorm_interval <= 0.0 or h <= 0.0:
-        raise ConfigError("lyapunov_estimate needs positive horizon, "
-                          "renorm_interval and h")
+    for name, value in (("horizon", horizon),
+                        ("renorm_interval", renorm_interval), ("h", h)):
+        require_positive(f"lyapunov_estimate: {name}", value)
+    if not 0.0 <= spinup < float("inf"):
+        raise ConfigError(f"lyapunov_estimate: spinup: must be >= 0 and "
+                          f"finite, got {spinup!r}")
     steps_per_block = max(1, int(round(renorm_interval / h)))
     blocks = max(1, int(round(horizon / (steps_per_block * h))))
     block_prop = Propagator(tableau=RK4, step=h, steps_per_call=steps_per_block)
 
     u = np.asarray(u0, dtype=float)
-    if spinup > 0.0:
-        spin_steps = int(round(spinup / h))
-        if spin_steps > 0:
-            u = propagate(Propagator(tableau=RK4, step=h,
-                                     steps_per_call=spin_steps),
-                          system, 0.0, u)
+    spin_steps = int(round(spinup / h))
+    if spin_steps > 0:
+        u = propagate(Propagator(tableau=RK4, step=h,
+                                 steps_per_call=spin_steps), system, 0.0, u)
 
     v = np.ones((system.dim, 1)) / np.sqrt(system.dim)
     log_sum = 0.0
@@ -137,31 +126,3 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
         v /= growth
         t += steps_per_block * h
     return log_sum / (blocks * steps_per_block * h)
-
-
-def basin_scan(system: OdeSystem, fine: Propagator, U_prev: Array,
-               coord_i: int, coord_j: int, ranges, resolution: int) -> BasinGrid:
-    """Residual ||U_n - F(U_prev)|| over a 2-D grid of candidate states U_n.
-
-    The fine image of ``U_prev`` is computed once; grid candidates vary the
-    two scanned coordinates and keep the rest at the fine image's values, so
-    the landscape is exactly the distance-to-truth in the scanned plane.
-    """
-    U_prev = np.asarray(U_prev, dtype=float)
-    d = U_prev.shape[-1]
-    if not (0 <= coord_i < d and 0 <= coord_j < d) or coord_i == coord_j:
-        raise ConfigError(f"basin_scan: bad coordinate pair ({coord_i}, {coord_j})")
-    if resolution < 2:
-        raise ConfigError("basin_scan: resolution must be >= 2")
-    (lo_i, hi_i), (lo_j, hi_j) = ranges
-    center = propagate(fine, system, 0.0, U_prev)
-    xs = np.linspace(lo_i, hi_i, resolution)
-    ys = np.linspace(lo_j, hi_j, resolution)
-    cand = np.tile(center, (resolution, resolution, 1))
-    cand[..., coord_i] = xs[:, None]
-    cand[..., coord_j] = ys
-    delta = cand - center
-    # One dot product per candidate, the sum the norm of a 1-D vector takes.
-    values = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0, 0]
-    return BasinGrid(coord_i=coord_i, coord_j=coord_j, x_values=xs,
-                     y_values=ys, values=values, center=center)

@@ -1,7 +1,7 @@
 import argparse
+import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from paratime import _kernel
@@ -164,19 +164,6 @@ def test_bounds_command(tmp_path, capsys):
     assert "beta" in header and len(values.split(",")) == len(header.split(","))
 
 
-def test_basin_command(tmp_path):
-    out = tmp_path / "basin.dat"
-    code = main(["basin", "--system", "lorenz63", "--u0", "13.8,13.0,34.9",
-                 "--T", "0.5", "--N", "1", "--xi", "10", "--h", "5e-3",
-                 "--coord-i", "0", "--coord-j", "2", "--lo-i", "-20",
-                 "--hi-i", "20", "--lo-j", "10", "--hi-j", "45",
-                 "--resolution", "5", "--out", str(out)])
-    assert code == 0
-    from paratime.experiments import read_basin
-    grid = read_basin(str(out))
-    assert grid.values.shape == (5, 5)
-
-
 def test_lyapunov_command(capsys):
     code = main(["lyapunov", "--system", "logistic", "--u0", "0.5",
                  "--spinup", "2", "--horizon", "30", "--renorm", "1",
@@ -187,14 +174,11 @@ def test_lyapunov_command(capsys):
     assert float(out.split("=")[1]) < -0.5
 
 
-def test_plotdata_command(tmp_path):
-    from tests.test_experiments import small_sweep_config
-    cfg_path = tmp_path / "sweep.yaml"
-    dump_config(small_sweep_config(), str(cfg_path))
-    csv_path = tmp_path / "out.csv"
-    main(["sweep", "--config", str(cfg_path), "--out", str(csv_path)])
-    assert main(["plotdata", "--csv", str(csv_path), "--kind", "K_vs_T",
-                 "--out-dir", str(tmp_path / "plots")]) == 0
+def test_lyapunov_spinup_zero_is_valid(capsys):
+    assert main(["lyapunov", "--system", "logistic", "--u0", "0.5",
+                 "--spinup", "0", "--horizon", "5", "--renorm", "1",
+                 "--step", "0.01"]) == 0
+    assert capsys.readouterr().out.startswith("lambda=")
 
 
 def test_preset_listing_and_single(capsys):
@@ -211,17 +195,13 @@ ALL_FIELDS = ["system", "u0", "fine", "coarse", *GRID, "eps", "check",
 # The config fields each subcommand reads, and so the field flags it takes.
 FIELDS = {"solve": ALL_FIELDS,
           "bounds": ["system", "u0", "fine", "coarse", *GRID, "eps"],
-          "basin": ["system", "u0", "fine", *GRID],
           "lyapunov": ["system", "u0"]}
 OWN_FLAGS = {"solve": [],
              "sweep": ["--config", "--preset", "--mode", "--N-list",
                        "--T-list", "--out"],
              "bounds": ["--K", "--q", "--out"],
-             "basin": ["--coord-i", "--coord-j", "--lo-i", "--hi-i", "--lo-j",
-                       "--hi-j", "--resolution", "--out"],
-             "lyapunov": ["--spinup", "--horizon", "--renorm", "--step"],
-             "plotdata": ["--csv", "--kind", "--out-dir"]}
-REMOVED = [(command, f"--{name}") for command in ("bounds", "basin", "lyapunov")
+             "lyapunov": ["--spinup", "--horizon", "--renorm", "--step"]}
+REMOVED = [(command, f"--{name}") for command in ("bounds", "lyapunov")
            for name in ALL_FIELDS if name not in FIELDS[command]]
 
 
@@ -236,16 +216,13 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         want = {"-h", "--help", *config, *OWN_FLAGS[command],
                 *(f"--{name}" for name in FIELDS.get(command, []))}
         assert got == want, command
-    assert len(REMOVED) == 19
+    assert len(REMOVED) == 14
 
 
 @pytest.mark.parametrize("command, flag", REMOVED)
 def test_a_flag_the_command_does_not_read_is_a_configuration_error(
-        command, flag, tmp_path, capsys):
+        command, flag, capsys):
     argv = {"bounds": ["bounds", "--preset", "logistic-single"],
-            "basin": ["basin", "--preset", "logistic-single", "--lo-i", "0",
-                      "--hi-i", "1", "--lo-j", "0", "--hi-j", "1",
-                      "--out", str(tmp_path / "basin.dat")],
             "lyapunov": ["lyapunov", "--system", "logistic"]}[command]
     assert main(argv + [flag, "1"]) == 1
     err = capsys.readouterr().err
@@ -270,11 +247,35 @@ def test_sweep_list_flag_its_mode_does_not_read_names_the_flag(argv, flag,
     (["solve", "--u0", "1,a"], "argument --u0: invalid"),
     (["sweep", "--preset", "table-logistic-strong", "--N-list", "2,x"],
      "argument --N-list: invalid"),
-    ([], "the following arguments are required: command")])
+    ([], "the following arguments are required: command"),
+    (["basin", "--preset", "lorenz63-single"], "invalid choice: 'basin'"),
+    (["plotdata", "--csv", "sweep.csv"], "invalid choice: 'plotdata'")])
 def test_usage_errors_are_configuration_errors(argv, text, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: paratime") and text in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    # Every ``paratime`` line of the README's "Command line" sh block, with
+    # its backslash continuations joined.
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("paratime ")]
+
+
+def test_readme_has_command_examples():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_command_example_parses(argv):
+    build_parser().parse_args(argv[1:])
 
 
 def test_help_still_exits_0(capsys):
@@ -330,15 +331,10 @@ def test_bounds_prints_the_outer_radius_for_any_beta(argv, radius, slow,
     (["lyapunov", "--system", "lorenz63", "--horizon", "0"], "--horizon"),
     (["lyapunov", "--system", "lorenz63", "--renorm", "0"], "--renorm"),
     (["lyapunov", "--system", "lorenz63", "--step", "-1"], "--step"),
-    (["basin", "--preset", "lorenz63-single", "--coord-j", "5"], "--coord-j"),
-    (["basin", "--preset", "lorenz63-single", "--coord-j", "0"], "--coord-j"),
-    (["basin", "--preset", "lorenz63-single", "--resolution", "1"],
-     "--resolution")])
-def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, tmp_path,
-                                                       capsys):
-    if argv[0] == "basin":
-        argv = argv + ["--lo-i", "-20", "--hi-i", "20", "--lo-j", "10",
-                       "--hi-j", "45", "--out", str(tmp_path / "basin.dat")]
+    (["lyapunov", "--system", "lorenz63", "--spinup", "-5"], "--spinup"),
+    (["lyapunov", "--system", "lorenz63", "--spinup", "nan"], "--spinup"),
+    (["lyapunov", "--system", "lorenz63", "--spinup", "inf"], "--spinup")])
+def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
 

@@ -11,12 +11,10 @@ import yaml
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import fine_serial_reference
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
-from paratime.experiments import (_ReferenceCache, emit_plotdata, read_basin,
-                                  read_sweep_csv, run_single, run_sweep,
-                                  write_basin)
-from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
+from paratime.experiments import (_ReferenceCache, read_sweep_csv, run_single,
+                                  run_sweep)
+from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
                                   fine_propagator)
-from paratime.metrics import basin_scan
 from paratime.presets import PRESETS
 from paratime.systems import make_logistic, make_lorenz63
 
@@ -207,37 +205,6 @@ def test_run_sweep_records_failures(tmp_path):
     assert len(rows) == 1
     assert not rows[0]["converged"]
     assert rows[0]["error"] != ""
-
-
-def test_emit_plotdata_series(tmp_path):
-    sweep = small_sweep_config()
-    csv_path = tmp_path / "sweep.csv"
-    run_sweep(sweep, str(csv_path))
-    files = emit_plotdata(str(csv_path), "K_vs_T", str(tmp_path / "plots"))
-    assert len(files) == 2  # one per criterion series
-    for path in files:
-        lines = [ln for ln in open(path) if not ln.startswith("#")]
-        assert len(lines) == 3  # one per N
-        assert all(len(ln.split()) == 5 for ln in lines)
-    files = emit_plotdata(str(csv_path), "serial_work", str(tmp_path / "p2"))
-    assert len(files) == 2
-    with pytest.raises(ConfigError):
-        emit_plotdata(str(csv_path), "heatmap", str(tmp_path))
-
-
-def test_basin_round_trip(tmp_path):
-    sys3 = make_lorenz63()
-    fine = Propagator(tableau=RK4, step=1e-3, steps_per_call=100)
-    grid = basin_scan(sys3, fine, np.array([13.8, 13.0, 34.9]), 0, 2,
-                      ((-5.0, 5.0), (20.0, 40.0)), resolution=7)
-    path = tmp_path / "basin.dat"
-    write_basin(grid, str(path))
-    loaded = read_basin(str(path))
-    # loss-free at 6 significant digits: writing again is byte-identical
-    path2 = tmp_path / "basin2.dat"
-    write_basin(loaded, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
-    assert np.allclose(loaded.values, grid.values, rtol=1e-5)
 
 
 @pytest.mark.parametrize("system,tab,u0", [

@@ -307,6 +307,25 @@ def test_newton_failure_names_its_step_and_batch_row():
     assert failures[2][1].endswith("at internal step 1 (batch element 1)")
 
 
+@pytest.mark.parametrize("u, row", [([-0.001], None),
+                                    ([[0.5], [-0.001]], 1)])
+def test_tangent_newton_failure_names_the_same_step(u, row):
+    # The implicit tangent path reports the failure that ``propagate`` does.
+    sys1 = make_logistic()
+    prop = Propagator(tableau=IMPLICIT_EULER, step=0.9, steps_per_call=3)
+    u = np.array(u)
+    failures = []
+    for system in (sys1, array_only(sys1)):
+        for run in (lambda: propagate(prop, system, 0.0, u),
+                    lambda: propagate_with_tangent(prop, system, 0.0, u,
+                                                   np.ones(u.shape + (1,)))):
+            with pytest.raises(StepFailureError) as err:
+                run()
+            assert (err.value.step_index, err.value.chunk_index) == (1, row)
+            failures.append((err.value.residual, str(err.value)))
+    assert len(set(failures)) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_newton_derivative_is_a_step_failure():
     # u' = u with h = 1: the Newton derivative 1 - h a is exactly zero, and

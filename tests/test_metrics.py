@@ -3,10 +3,9 @@ import pytest
 from scipy.optimize import linprog
 
 from paratime.engine import TrajectoryVec
-from paratime.errors import BlowUpError, ConfigError
-from paratime.integrators import RK4, Propagator
-from paratime.metrics import (basin_scan, lyapunov_estimate, serial_work,
-                              speedup_model, trajectory_w1, wasserstein1)
+from paratime.errors import ConfigError
+from paratime.metrics import (lyapunov_estimate, serial_work, speedup_model,
+                              trajectory_w1, wasserstein1)
 from paratime.systems import make_linear, make_logistic, make_lorenz63
 
 
@@ -167,41 +166,19 @@ def test_lyapunov_rejects_bad_args():
         lyapunov_estimate(lin, np.array([1.0]), 0.0, -1.0, 1.0)
 
 
-def test_basin_scan_geometry():
-    sys3 = make_lorenz63()
-    fine = Propagator(tableau=RK4, step=1e-3, steps_per_call=1000)
-    u_prev = np.array([13.8, 13.0, 34.9])
-    from paratime.integrators import propagate
-    center = propagate(fine, sys3, 0.0, u_prev)
-    lo_i, hi_i = center[0] - 2.0, center[0] + 2.0
-    lo_j, hi_j = center[1] - 3.0, center[1] + 3.0
-    grid = basin_scan(sys3, fine, u_prev, 0, 1,
-                      ((lo_i, hi_i), (lo_j, hi_j)), resolution=9)
-    assert grid.values.shape == (9, 9)
-    assert np.all(grid.values >= 0.0)
-    # residual is exactly the in-plane distance to the fine image
-    for a in (0, 4, 8):
-        for b in (0, 3, 8):
-            expected = np.hypot(grid.x_values[a] - center[0],
-                                grid.y_values[b] - center[1])
-            assert grid.values[a, b] == pytest.approx(expected, rel=1e-12)
-    # the loop over candidates gives the same bits
-    for a, x in enumerate(grid.x_values):
-        for b, y in enumerate(grid.y_values):
-            cand = center.copy()
-            cand[0], cand[1] = x, y
-            assert grid.values[a, b] == np.linalg.norm(cand - center)
-    # minimum sits at the grid point nearest the fine image
-    amin = np.unravel_index(np.argmin(grid.values), grid.values.shape)
-    assert grid.x_values[amin[0]] == pytest.approx(center[0], abs=0.5)
-    assert grid.y_values[amin[1]] == pytest.approx(center[1], abs=0.75)
+NAN, INF = float("nan"), float("inf")
 
 
-def test_basin_scan_validation():
-    sys3 = make_lorenz63()
-    fine = Propagator(tableau=RK4, step=1e-3, steps_per_call=10)
-    u = np.array([1.0, 1.0, 1.0])
-    with pytest.raises(ConfigError):
-        basin_scan(sys3, fine, u, 0, 0, ((0, 1), (0, 1)), 4)
-    with pytest.raises(ConfigError):
-        basin_scan(sys3, fine, u, 0, 1, ((0, 1), (0, 1)), 1)
+@pytest.mark.parametrize("spinup, horizon, renorm, h, name", [
+    (-5.0, 1.0, 1.0, 1e-3, "spinup"),
+    (NAN, 1.0, 1.0, 1e-3, "spinup"),
+    (INF, 1.0, 1.0, 1e-3, "spinup"),
+    (0.0, NAN, 1.0, 0.1, "horizon"),
+    (0.0, INF, 1.0, 0.1, "horizon"),
+    (0.0, 1.0, NAN, 0.1, "renorm_interval"),
+    (0.0, 1.0, 1.0, NAN, "h")])
+def test_lyapunov_names_a_bad_spinup_or_non_finite_arg(spinup, horizon, renorm,
+                                                       h, name):
+    with pytest.raises(ConfigError, match=f"{name}: "):
+        lyapunov_estimate(make_linear(1.0), np.array([1.0]), spinup, horizon,
+                          renorm, h)
