@@ -16,9 +16,11 @@ count, the numpy version, the kernel path, each side's kernel build flags
 (``kernel_flags``, read from that side's checkout), each side's line count
 of its package modules (``src_lines``, see :func:`src_lines`) and every
 run's metrics beside its round count (``rounds``: more rounds in a run of
-fixed length can raise its peak RSS).  ``rss_fit`` holds, per workload and side, the
-least-squares line of ``peak_rss_mib`` against ``rounds`` (see
-:func:`rss_fit`).
+fixed length can raise its peak RSS).  Beside ``metrics``, each workload's
+``rounds`` holds the median and quartiles of that count for each side, so a
+``peak_rss_mib`` verdict that comes from extra rounds reads at a glance.
+``rss_fit`` holds, per workload and side, the least-squares line of
+``peak_rss_mib`` against ``rounds`` (see :func:`rss_fit`).
 """
 
 from __future__ import annotations
@@ -81,14 +83,19 @@ def summarize(pairs, better: dict, bounds: dict | None = None) -> dict:
     ``"lower"`` or ``"higher"``.  A win is a pair in which the change reads
     better than the base; equal values count as ties.  A metric named in
     ``bounds`` (end-to-end metric name to its relative bound) also gets a
-    ``verdict``.
+    ``verdict``.  ``rounds`` holds each side's median and quartiles of the
+    runs' ``rounds``, None for a side that recorded none.
     """
     out = {"pairs": len(pairs),
            "correct": {side: sum(bool(p[i]["correct"]) for p in pairs)
                        for i, side in enumerate(SIDES)},
            "failed": {side: sum(p[i]["failed"] for p in pairs)
                       for i, side in enumerate(SIDES)},
-           "metrics": {}}
+           "rounds": {}, "metrics": {}}
+    for i, side in enumerate(SIDES):
+        counts = [p[i]["rounds"] for p in pairs
+                  if p[i].get("rounds") is not None]
+        out["rounds"][side] = quartiles(counts) if counts else None
     names = [n for n in pairs[0][0]["metrics"] if n in pairs[0][1]["metrics"]]
     for name in names:
         base = [p[0]["metrics"][name]["value"] for p in pairs]

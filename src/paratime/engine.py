@@ -36,7 +36,7 @@ import numpy as np
 from . import criteria
 from .criteria import StopCriterion
 from .errors import ConfigError, NumericalFailure
-from .integrators import GridSpec, Propagator, propagate
+from .integrators import GridSpec, Propagator, _walk, propagate
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -74,9 +74,10 @@ class RunReport:
     propagated: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _sweep(prop: Propagator, system: OdeSystem, grid: GridSpec,
-           u0: Array) -> Array:
-    """Sequential whole-domain sweep; returns the (N+1, d) interface array."""
+def coarse_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
+                 u0: Array) -> TrajectoryVec:
+    """Initial guess: sequential coarse propagation from the initial state,
+    one :func:`propagate` of the ``(d,)`` state per chunk."""
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (system.dim,):
         raise ConfigError(
@@ -85,22 +86,21 @@ def _sweep(prop: Propagator, system: OdeSystem, grid: GridSpec,
     states[0] = u0
     for n in range(1, grid.N + 1):
         try:
-            states[n] = propagate(prop, system, (n - 1) * grid.dT, states[n - 1])
+            states[n] = propagate(coarse, system, (n - 1) * grid.dT, states[n - 1])
         except NumericalFailure as exc:
             raise exc.in_chunk("sweep", n) from exc
-    return states
-
-
-def coarse_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
-                 u0: Array) -> TrajectoryVec:
-    """Initial guess: sequential coarse propagation from the initial state."""
-    return TrajectoryVec(_sweep(coarse, system, grid, u0))
+    return TrajectoryVec(states)
 
 
 def fine_serial_reference(fine: Propagator, system: OdeSystem, grid: GridSpec,
                           u0: Array) -> TrajectoryVec:
-    """The target trajectory: sequential fine propagation (zero jumps)."""
-    return TrajectoryVec(_sweep(fine, system, grid, u0))
+    """The target trajectory: sequential fine propagation (zero jumps), by
+    ``integrators._walk``, one compiled call per chunk where it can."""
+    states, failure = _walk(fine.tableau, system, fine.step, u0,
+                            np.arange(grid.N + 1) * fine.steps_per_call)
+    if failure is not None:
+        raise failure.in_chunk("sweep", len(states)) from failure
+    return TrajectoryVec(states)
 
 
 def _changed_rows(a: Array, b: Array) -> Array:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import engine, metrics
 from .config import SolveConfig, SweepConfig
 from .engine import RunReport, TrajectoryVec
 from .errors import NumericalFailure
-from .integrators import Propagator, get_tableau, propagate
+from .integrators import _walk, get_tableau
 from .metrics import MetricsReport
 
 CSV_COLUMNS = ["check", "weight", "N", "T", "dT", "xi", "h", "eps", "K",
@@ -71,34 +71,22 @@ class _ReferenceCache:
     All rows of a sweep share u0, the fine tableau and h; their interface
     times are integer multiples of h.  A single uniform walk to the largest
     horizon, keeping the state at the union of every row's interface step
-    counts, yields states bit-identical to any per-row serial sweep.  Only
-    the ``(M, d)`` states and their ``(M,)`` step counts are kept.
+    counts, yields states bit-identical to any per-row serial sweep; it is
+    ``integrators._walk``.  Only the ``(M, d)`` states and their ``(M,)``
+    step counts are kept.
 
-    A walk that fails numerically stops there and keeps the states before
-    the failure; ``trajectory`` raises it, naming the chunk, for a grid that
-    reaches past them.
+    A walk that fails numerically keeps the states before the failure, and
+    ``failure`` is ``(step count the failed stretch starts at, error)``;
+    ``trajectory`` raises it, naming the chunk, for a grid that reaches past.
     """
 
     def __init__(self, system, fine_tableau, h, u0, grids):
-        milestones = {0}
-        for grid in grids:
-            steps_per_chunk = grid.L * grid.xi
-            milestones.update(n * steps_per_chunk for n in range(grid.N + 1))
-        self.steps = np.array(sorted(milestones))
-        self.states = np.empty((self.steps.size, np.size(u0)))
-        self.failure = None  # (step count the failed stretch starts at, error)
-        state = self.states[0] = np.asarray(u0, dtype=float)
-        for i in range(1, self.steps.size):
-            start, target = self.steps[i - 1], self.steps[i]
-            prop = Propagator(tableau=fine_tableau, step=h,
-                              steps_per_call=int(target - start))
-            try:
-                state = self.states[i] = propagate(prop, system,
-                                                   int(start) * h, state)
-            except NumericalFailure as exc:
-                self.failure = (int(start), exc)
-                self.steps, self.states = self.steps[:i], self.states[:i]
-                break
+        # A set, not np.unique: that imports numpy.ma, about 1 MiB of RSS.
+        self.steps = np.array(sorted(
+            {0} | {n * g.L * g.xi for g in grids for n in range(g.N + 1)}))
+        self.states, exc = _walk(fine_tableau, system, h, u0, self.steps)
+        self.steps = self.steps[:len(self.states)]
+        self.failure = None if exc is None else (int(self.steps[-1]), exc)
 
     @property
     def snapshots(self) -> Dict[int, np.ndarray]:
@@ -172,21 +160,3 @@ def run_sweep(sweep: SweepConfig, out_path: str) -> str:
         with open(out_path, "w", newline="") as fh:
             fh.write(data)
     return data
-
-
-def read_sweep_csv(path: str) -> List[dict]:
-    """Parse a sweep CSV file back into typed records."""
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    out = []
-    for r in rows:
-        rec = dict(r)
-        for key in ("N", "xi", "K"):
-            rec[key] = int(r[key])
-        for key in ("T", "dT", "h", "eps", "S", "serial_work", "w1",
-                    "error_l2", "lipschitz_final"):
-            rec[key] = float(r[key]) if r[key] not in ("", None) else float("nan")
-        rec["converged"] = r["converged"] == "true"
-        out.append(rec)
-    return out
-

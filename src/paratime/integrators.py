@@ -15,12 +15,13 @@ reference:
 
 * A single ``(d,)`` state with a scalar start time is advanced on Python
   floats when the system supplies ``scalar_rhs`` and the tableau is
-  explicit, or implicit with ``d == 1`` (and ``scalar_jac``): the serial
-  paths of logistic, linear and Lorenz-63.
+  explicit, or implicit with ``d == 1`` (and ``scalar_jac``): the coarse
+  guess and the corrected coarse sweep of logistic, linear and Lorenz-63.
 * Every other call goes to the compiled kernel (``_kernel.c``, built on
   first use) when the system has a ``kernel`` spec and the tableau is
   explicit, or implicit with ``d == 1``: the batched fine sweeps,
-  ``parareal_iterate``'s coarse batch, and Lorenz-96 single states.  One
+  ``parareal_iterate``'s coarse batch, Lorenz-96 single states, and the
+  ``(1, d)`` row of each :func:`_walk` stretch (the serial fine walks).  One
   foreign call advances the whole ``(n, d)`` batch over the chunk.
 
 Both perform the same IEEE operations in the same order as the numpy step
@@ -38,8 +39,8 @@ output bitwise equal to the numpy step's:
     logistic implicit Euler  128   113 us        -       2.4 us
 
 A compiled call costs about 6.5 us on top of its steps.  The one-row
-compiled figures of Lorenz-63 and logistic were taken with the float kernels
-removed; ``propagate`` takes the float step there.
+compiled figures of Lorenz-63 and logistic are what a ``(1, d)`` row takes;
+``propagate`` takes the float step on a ``(d,)`` state there.
 
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
@@ -81,8 +82,8 @@ import numpy as np
 
 from . import _kernel
 from ._kernel import NEWTON_MAXITER, NEWTON_TOL
-from .errors import (BlowUpError, ConfigError, StepFailureError,
-                     require_positive)
+from .errors import (BlowUpError, ConfigError, NumericalFailure,
+                     StepFailureError, require_positive)
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -510,6 +511,37 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     if not finite:
         _locate_failure(prop, system, t0, u)
     return out
+
+
+def _walk(tableau: ButcherTableau, system: OdeSystem, h: float, u0,
+          steps) -> tuple:
+    """``(states, failure)`` of one state walked from ``u0`` through the step
+    counts ``steps`` (from 0) of size ``h``, each stretch one compiled call on
+    a ``(1, d)`` row.  Without the kernel, or for a row that fails, a stretch
+    is :func:`propagate` of the ``(d,)`` state, whose error is then the
+    failure; the walk stops there and ``states`` ends before that stretch."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (system.dim,):
+        raise ConfigError(
+            f"initial state has shape {u0.shape}, system dimension is {system.dim}")
+    states = np.empty((len(steps), system.dim))
+    states[0] = u0
+    props = {}  # one Propagator, and so one kernel runner, per stretch length
+    for i in range(1, len(steps)):
+        start, length = int(steps[i - 1]), int(steps[i] - steps[i - 1])
+        prop = props[length] = props.get(length) or Propagator(tableau, h, length)
+        row = states[i - 1:i]
+        run = _compiled_kernel(prop, system, row)
+        if run is not None:
+            out, status, _ = run(row)
+            if status == _kernel.OK:
+                states[i] = out[0]
+                continue
+        try:
+            states[i] = propagate(prop, system, start * h, row[0])
+        except NumericalFailure as exc:
+            return states[:i], exc
+    return states, None
 
 
 def propagate_with_tangent(prop: Propagator, system: OdeSystem, t0, u: Array,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, require_positive
-from .integrators import RK4, Propagator, propagate, propagate_with_tangent
+from .integrators import RK4, Propagator, _walk, propagate_with_tangent
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -109,8 +109,10 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
     u = np.asarray(u0, dtype=float)
     spin_steps = int(round(spinup / h))
     if spin_steps > 0:
-        u = propagate(Propagator(tableau=RK4, step=h,
-                                 steps_per_call=spin_steps), system, 0.0, u)
+        states, failure = _walk(RK4, system, h, u, (0, spin_steps))
+        if failure is not None:
+            raise failure
+        u = states[-1]
 
     v = np.ones((system.dim, 1)) / np.sqrt(system.dim)
     log_sum = 0.0

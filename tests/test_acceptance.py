@@ -14,13 +14,14 @@ from scipy.optimize import linprog
 from paratime import bounds, criteria, engine, metrics, presets
 from paratime.criteria import StopCriterion, equivalence_constants, proximity, weighted_norm
 from paratime.engine import TrajectoryVec, fine_serial_reference, parareal_iterate, parareal_solve
-from paratime.experiments import read_sweep_csv, run_sweep
+from paratime.experiments import run_sweep
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
                                   coarse_propagator, fine_propagator,
                                   get_tableau, propagate, stability_function)
 from paratime.metrics import (lyapunov_estimate, speedup_model, trajectory_w1,
                               wasserstein1)
 from paratime.systems import make_linear, make_logistic, make_lorenz63, make_lorenz96
+from sweep_csv import read_sweep_csv
 
 # The proximity check is scored on the older iterate of each pair (the one
 # whose fine sweep exists), which can report one iteration more than a

@@ -43,6 +43,28 @@ def test_summary_medians_quartiles_and_wins(bench_pairs):
     assert (rss["wins"], rss["losses"], rss["ties"]) == (1, 1, 2)
 
 
+def test_summary_gives_each_sides_rounds(bench_pairs):
+    pairs = []
+    for base, change in ((100, 110), (90, 120), (95, None), (105, 130)):
+        pair = (line(1.0, 40.0), line(1.0, 40.0))
+        pair[0]["rounds"] = base
+        if change is not None:
+            pair[1]["rounds"] = change
+        pairs.append(pair)
+    got = bench_pairs.summarize(pairs, {"wall_s": "lower"})
+    assert got["rounds"]["base"] == pytest.approx(
+        {"median": 97.5, "q1": 93.75, "q3": 101.25})
+    # a run with no round count is left out
+    assert got["rounds"]["change"] == pytest.approx(
+        {"median": 120, "q1": 115, "q3": 125})
+    assert "rounds" not in got["metrics"]
+    assert bench_pairs.summarize(pairs[:1], {})["rounds"]["change"] == {
+        "median": 110, "q1": 110, "q3": 110}
+    for pair in pairs:
+        pair[0].pop("rounds")
+    assert bench_pairs.summarize(pairs, {})["rounds"]["base"] is None
+
+
 def test_summary_reads_higher_is_better(bench_pairs):
     pairs = [(line(1.0, 1.0), line(2.0, 1.0))]
     got = bench_pairs.summarize(pairs, {"wall_s": "higher"})

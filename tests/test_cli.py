@@ -7,8 +7,8 @@ import pytest
 from paratime import _kernel
 from paratime.cli import build_parser, main
 from paratime.config import dump_config
-from paratime.experiments import read_sweep_csv
 from paratime.integrators import kernel_path
+from sweep_csv import read_sweep_csv
 
 
 def write_small_config(tmp_path):

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 import yaml
 
+from paratime import integrators
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import fine_serial_reference
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
-from paratime.experiments import (_ReferenceCache, read_sweep_csv, run_single,
-                                  run_sweep)
+from paratime.experiments import _ReferenceCache, run_single, run_sweep
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
-                                  fine_propagator)
+                                  fine_propagator, kernel_path)
 from paratime.presets import PRESETS
-from paratime.systems import make_logistic, make_lorenz63
+from paratime.systems import (make_linear, make_logistic, make_lorenz63,
+                              make_lorenz96)
+from sweep_csv import read_sweep_csv
 
 
 def small_solve_config(**overrides):
@@ -207,16 +209,23 @@ def test_run_sweep_records_failures(tmp_path):
     assert rows[0]["error"] != ""
 
 
-@pytest.mark.parametrize("system,tab,u0", [
-    (make_lorenz63(), RK4, [1.0, 1.0, 1.0]),
-    (make_logistic(), IMPLICIT_EULER, [1e-3]),
-], ids=["lorenz63-rk4", "logistic-implicit-euler"])
+WALKS = [(make_lorenz63(), RK4, [1.0, 1.0, 1.0]),
+         (make_logistic(), IMPLICIT_EULER, [1e-3]),
+         (make_lorenz96(5), RK4, [8.01, 8.0, 8.0, 8.0, 8.0]),
+         (make_linear(-0.5), IMPLICIT_EULER, [1.0])]
+WALK_IDS = ["lorenz63-rk4", "logistic-implicit-euler", "lorenz96-rk4",
+            "linear-implicit-euler"]
+WALK_GRIDS = [GridSpec.make(T=T, N=N, xi=10, h=1e-3)
+              for T, N in ((0.8, 4), (1.6, 4), (1.6, 16))]
+
+
+@pytest.mark.parametrize("system,tab,u0", WALKS, ids=WALK_IDS)
 def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
     """The sweep's one shared walk gives every row's serial fine reference,
-    bit for bit, and so does the walk without float kernels."""
+    bit for bit, and so do both walks on the array-only system (no float
+    step, no compiled kernel)."""
     u0 = np.array(u0)
-    grids = [GridSpec.make(T=T, N=N, xi=10, h=1e-3)
-             for T, N in ((0.8, 4), (1.6, 4), (1.6, 16))]
+    grids = WALK_GRIDS
     array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
                                      kernel=None)
     cache = _ReferenceCache(system, tab, 1e-3, u0, grids)
@@ -224,8 +233,63 @@ def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
     for step in cache.snapshots:
         assert np.array_equal(cache.snapshots[step], array_cache.snapshots[step])
     for grid in grids:
-        ref = fine_serial_reference(fine_propagator(grid, tab), system, grid, u0)
+        fine = fine_propagator(grid, tab)
+        ref = fine_serial_reference(fine, system, grid, u0)
         assert np.array_equal(cache.trajectory(grid).states, ref.states)
+        array_ref = fine_serial_reference(fine, array_only, grid, u0)
+        assert np.array_equal(array_ref.states, ref.states)
+
+
+def _walk_both(system, tab, u0):
+    _ReferenceCache(system, tab, 1e-3, np.array(u0), WALK_GRIDS)
+    grid = WALK_GRIDS[-1]
+    fine_serial_reference(fine_propagator(grid, tab), system, grid,
+                          np.array(u0))
+
+
+@pytest.mark.parametrize("system,tab,u0", WALKS[:2], ids=WALK_IDS[:2])
+def test_walks_take_the_float_step_only_without_the_kernel(system, tab, u0,
+                                                           monkeypatch):
+    """Where the kernel is built, neither serial fine walk takes a float
+    step; without the system's kernel both take it at every step."""
+    name = "_float_step_" + ("explicit" if tab.is_explicit else "implicit")
+    float_step = getattr(integrators, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return float_step(*args)
+
+    def refused(*args):
+        raise AssertionError("a serial fine walk took the float step")
+
+    if kernel_path() == "c":
+        monkeypatch.setattr(integrators, "_float_step_explicit", refused)
+        monkeypatch.setattr(integrators, "_float_step_implicit", refused)
+        _walk_both(system, tab, u0)
+        monkeypatch.undo()
+    monkeypatch.setattr(integrators, name, counted)
+    _walk_both(dataclasses.replace(system, kernel=None), tab, u0)
+    # The shared walk runs to the longest horizon, then the T = 1.6 row.
+    assert len(calls) == 2 * 1600
+
+
+@pytest.mark.parametrize("tab, h, u0, error", [
+    (RK4, 0.001, -0.1, BlowUpError),
+    (IMPLICIT_EULER, 0.9, -0.001, StepFailureError)], ids=["blow-up", "newton"])
+def test_walk_failures_read_as_without_the_kernel(tab, h, u0, error):
+    """A failed stretch of the compiled row walk raises the error, text and
+    indices of the walk without the system's kernel."""
+    grid = GridSpec.make(T=4000 * h, N=4, xi=10, h=h)
+    raised = []
+    for system in (make_logistic(),
+                   dataclasses.replace(make_logistic(), kernel=None)):
+        with pytest.raises(error) as exc:
+            fine_serial_reference(fine_propagator(grid, tab), system, grid,
+                                  np.array([u0]))
+        raised.append((str(exc.value), exc.value.step_index,
+                       exc.value.chunk_index))
+    assert raised[0] == raised[1]
 
 
 def test_reference_blow_up_keeps_the_rows_that_end_before_it(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -182,3 +184,17 @@ def test_lyapunov_names_a_bad_spinup_or_non_finite_arg(spinup, horizon, renorm,
     with pytest.raises(ConfigError, match=f"{name}: "):
         lyapunov_estimate(make_linear(1.0), np.array([1.0]), spinup, horizon,
                           renorm, h)
+
+
+@pytest.mark.parametrize("system", [make_lorenz63(), make_logistic()],
+                         ids=["lorenz63", "logistic"])
+def test_lyapunov_spin_up_bitwise_equal_on_the_array_step(system):
+    """The spin-up walk gives the same bits as on the array-only system (no
+    float step, no compiled kernel), and so does the whole estimate."""
+    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
+                                     kernel=None)
+    u0 = np.array([1.0, 1.0, 1.0][:system.dim])
+    lams = [lyapunov_estimate(s, u0, spinup=5.0, horizon=2.0,
+                              renorm_interval=1.0, h=1e-2)
+            for s in (system, array_only)]
+    assert lams[0] == lams[1]
