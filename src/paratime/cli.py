@@ -16,7 +16,6 @@ unknown flag or a bad value included), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from . import _kernel
@@ -107,9 +106,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write the ``--out`` file; a path that cannot be written is a
+    configuration error naming the flag."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
+    print(f"wrote {path}")
+
+
 def _cmd_sweep(args) -> int:
     if not (args.preset or args.config):
         raise ConfigError("sweep needs --config or --preset")
+    if not all(v.is_integer() for v in args.N_list or ()):
+        raise ConfigError(f"--N-list: chunk counts must be whole numbers, "
+                          f"got {args.N_list}")
     over = {"mode": args.mode,
             "N_list": [int(v) for v in args.N_list] if args.N_list else None,
             "T_list": args.T_list or None}
@@ -120,11 +133,11 @@ def _cmd_sweep(args) -> int:
         if getattr(args, flag) and sweep.mode in modes:
             raise ConfigError(f"--{flag.replace('_', '-')}: mode={sweep.mode} "
                               f"does not read it")
-    text = experiments.run_sweep(sweep, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    text = experiments.run_sweep(sweep, "")
+    if args.out:
+        _write_out(args.out, text)
     else:
-        print(f"wrote {args.out}")
+        sys.stdout.write(text)
     return 0
 
 
@@ -159,12 +172,9 @@ def _cmd_bounds(args) -> int:
     if cb.beta >= 1.0 and abs(args.q - 1.0) < 1e-12:
         print("warning: beta >= 1, coarse solver must be nearly as accurate "
               "as the fine solver")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name for name, _ in rows])
-            writer.writerow([f"{value:.6g}" for _, value in rows])
-        print(f"wrote {args.out}")
+    if args.out:  # a one-row CSV: no name or value holds a comma
+        _write_out(args.out, ",".join(name for name, _ in rows) + "\n"
+                   + ",".join(f"{value:.6g}" for _, value in rows) + "\n")
     return 0
 
 

@@ -115,6 +115,10 @@ class SweepConfig:
             raise ConfigError(f"mode: unknown value {self.mode!r}")
         if self.mode in ("strong", "weak") and not self.N_list:
             raise ConfigError(f"N_list: required for mode={self.mode}")
+        if self.mode != "time" and not all(float(N).is_integer()
+                                           for N in self.N_list):
+            raise ConfigError(f"N_list: chunk counts must be whole numbers, "
+                              f"got {self.N_list}")
         if self.mode == "time" and not self.T_list:
             raise ConfigError("T_list: required for mode=time")
         if not self.criteria:

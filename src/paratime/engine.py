@@ -74,33 +74,27 @@ class RunReport:
     propagated: List[Tuple[int, int]] = field(default_factory=list)
 
 
+def _serial(prop: Propagator, system: OdeSystem, grid: GridSpec,
+            u0: Array) -> TrajectoryVec:
+    """Sequential propagation of ``u0`` through the N chunks by
+    ``integrators._walk``, one compiled call per chunk where it can."""
+    states, failure = _walk(prop.tableau, system, prop.step, u0,
+                            np.arange(grid.N + 1) * prop.steps_per_call)
+    if failure is not None:
+        raise failure.in_chunk("sweep", len(states)) from failure
+    return TrajectoryVec(states)
+
+
 def coarse_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
                  u0: Array) -> TrajectoryVec:
-    """Initial guess: sequential coarse propagation from the initial state,
-    one :func:`propagate` of the ``(d,)`` state per chunk."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (system.dim,):
-        raise ConfigError(
-            f"initial state has shape {u0.shape}, system dimension is {system.dim}")
-    states = np.empty((grid.N + 1, system.dim))
-    states[0] = u0
-    for n in range(1, grid.N + 1):
-        try:
-            states[n] = propagate(coarse, system, (n - 1) * grid.dT, states[n - 1])
-        except NumericalFailure as exc:
-            raise exc.in_chunk("sweep", n) from exc
-    return TrajectoryVec(states)
+    """Initial guess: sequential coarse propagation from the initial state."""
+    return _serial(coarse, system, grid, u0)
 
 
 def fine_serial_reference(fine: Propagator, system: OdeSystem, grid: GridSpec,
                           u0: Array) -> TrajectoryVec:
-    """The target trajectory: sequential fine propagation (zero jumps), by
-    ``integrators._walk``, one compiled call per chunk where it can."""
-    states, failure = _walk(fine.tableau, system, fine.step, u0,
-                            np.arange(grid.N + 1) * fine.steps_per_call)
-    if failure is not None:
-        raise failure.in_chunk("sweep", len(states)) from failure
-    return TrajectoryVec(states)
+    """The target trajectory: sequential fine propagation (zero jumps)."""
+    return _serial(fine, system, grid, u0)
 
 
 def _changed_rows(a: Array, b: Array) -> Array:

@@ -15,14 +15,14 @@ reference:
 
 * A single ``(d,)`` state with a scalar start time is advanced on Python
   floats when the system supplies ``scalar_rhs`` and the tableau is
-  explicit, or implicit with ``d == 1`` (and ``scalar_jac``): the coarse
-  guess and the corrected coarse sweep of logistic, linear and Lorenz-63.
+  explicit: the corrected coarse sweep of Lorenz-63.
 * Every other call goes to the compiled kernel (``_kernel.c``, built on
   first use) when the system has a ``kernel`` spec and the tableau is
   explicit, or implicit with ``d == 1``: the batched fine sweeps,
-  ``parareal_iterate``'s coarse batch, Lorenz-96 single states, and the
-  ``(1, d)`` row of each :func:`_walk` stretch (the serial fine walks).  One
-  foreign call advances the whole ``(n, d)`` batch over the chunk.
+  ``parareal_iterate``'s coarse batch, the other single states, and the
+  ``(1, d)`` row of each :func:`_walk` stretch (the coarse guess and the
+  serial fine walks).  One foreign call advances the whole ``(n, d)`` batch
+  over the chunk.
 
 Both perform the same IEEE operations in the same order as the numpy step
 (see ``_kernel.c`` for the compiler flags this needs); a numpy call on a
@@ -35,12 +35,12 @@ output bitwise equal to the numpy step's:
     Lorenz-63 RK4            128   109 us        -       6.7 us
     Lorenz-96 (d=40) RK4       1    50 us        -      0.44 us
     Lorenz-96 (d=40) RK4      64   189 us        -        36 us
-    logistic implicit Euler    1   121 us     3.6 us    0.04 us
+    logistic implicit Euler    1   121 us        -      0.04 us
     logistic implicit Euler  128   113 us        -       2.4 us
 
 A compiled call costs about 6.5 us on top of its steps.  The one-row
-compiled figures of Lorenz-63 and logistic are what a ``(1, d)`` row takes;
-``propagate`` takes the float step on a ``(d,)`` state there.
+compiled figure of Lorenz-63 is what a ``(1, 3)`` row takes; ``propagate``
+takes the float step on a ``(3,)`` state.
 
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
@@ -194,8 +194,10 @@ class GridSpec:
         if h is not None:
             require_positive("h", h)
         for name, value in (("N", N), ("xi", xi), ("L", L)):
-            if value is not None and value < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {value}")
+            if value is not None and not (value >= 1
+                                          and float(value).is_integer()):
+                raise ConfigError(
+                    f"{name}: must be a whole number >= 1, got {value}")
         if h is None and L is None:
             raise ConfigError("grid: provide at least one of h, L")
         dT = T / N
@@ -208,7 +210,7 @@ class GridSpec:
                     f"choose h so the coarse step count per chunk is whole")
         if h is None:
             h = dT / (L * xi)
-        return cls(T=T, N=N, dT=dT, xi=int(xi), L=int(L), h=float(h))
+        return cls(T=T, N=int(N), dT=dT, xi=int(xi), L=int(L), h=float(h))
 
     @property
     def interface_times(self) -> Array:
@@ -222,8 +224,9 @@ class Propagator:
     tableau: ButcherTableau
     step: float
     steps_per_call: int
-    # Coefficients of the float step: per stage (c_i h, nonzero (j, h A_ij)),
-    # then the nonzero (i, h b_i), products formed as the array step forms them.
+    # Coefficients of the float step and the compiled kernel: per stage
+    # (c_i h, nonzero (j, h A_ij)), then the nonzero (i, h b_i), products
+    # formed as the array step forms them.
     float_coeffs: tuple = field(init=False, repr=False, compare=False)
     # Compiled-kernel calls for this propagator, keyed by ``system.kernel``.
     _compiled: dict = field(default_factory=dict, init=False, repr=False,
@@ -286,13 +289,6 @@ def _step_explicit(tableau, system, t, u, h, tangent):
     return u_next, t_next
 
 
-def _stage_failure(residual, row=None) -> StepFailureError:
-    return StepFailureError(
-        f"implicit stage solve did not converge in {NEWTON_MAXITER} iterations "
-        f"(max residual {residual:.3e})", residual=float(residual),
-        chunk_index=row)
-
-
 def _solve_small(M, rhs):
     """Batched linear solve of M x = rhs for matrix-shaped rhs.
 
@@ -327,8 +323,12 @@ def _step_implicit(tableau, system, t, u, h, tangent):
         else:
             y = np.where(converged[..., np.newaxis], y, y + delta)
     else:
-        raise _stage_failure(np.max(res), None if converged.ndim == 0
-                             else int(np.argmin(converged)))
+        residual = float(np.max(res))
+        raise StepFailureError(
+            f"implicit stage solve did not converge in {NEWTON_MAXITER} "
+            f"iterations (max residual {residual:.3e})", residual=residual,
+            chunk_index=None if converged.ndim == 0
+            else int(np.argmin(converged)))
     u_next = u + (h * b0) * f
     if tangent is None:
         return u_next, None
@@ -407,45 +407,13 @@ def _float_step_explicit(rhs, coeffs, t, u):
     return u
 
 
-def _float_step_implicit(system, coeffs, t, u):
-    """One single-stage implicit step for ``d == 1`` on floats; mirrors
-    :func:`_step_implicit`, failure included."""
-    # One stage (c_0 h, its one coefficient h A_00) and one weight h b_0.
-    ((ch, ((_, ha),)),), ((_, hb),) = coeffs
-    rhs, jac = system.scalar_rhs, system.scalar_jac
-    ts = t + ch
-    (u,) = u
-    y = u
-    tol_eff = NEWTON_TOL * max(1.0, abs(u))
-    for _ in range(NEWTON_MAXITER):
-        f = rhs(ts, (y,))[0]
-        R = y - u - ha * f
-        res = abs(R)
-        if res <= tol_eff:
-            break
-        M = 1.0 - ha * jac(ts, (y,))
-        try:
-            delta = -R / M
-        except ZeroDivisionError:
-            # The array step divides by zero as numpy does: +-inf or nan.
-            delta = float(np.float64(-R) / M)
-        y = y + delta
-    else:
-        raise _stage_failure(res)
-    return [u + hb * f]
-
-
 def _float_kernel(prop: Propagator, system: OdeSystem, t0, u):
     """The float step for this call, or None when the array step must run."""
-    if (system.scalar_rhs is None or t0.ndim != 0
-            or not isinstance(u, np.ndarray) or u.dtype != np.float64
-            or u.shape != (system.dim,)):
+    if (system.scalar_rhs is None or not prop.tableau.is_explicit
+            or t0.ndim != 0 or not isinstance(u, np.ndarray)
+            or u.dtype != np.float64 or u.shape != (system.dim,)):
         return None
-    if prop.tableau.is_explicit:
-        return partial(_float_step_explicit, system.scalar_rhs, prop.float_coeffs)
-    if system.dim == 1 and system.scalar_jac is not None:
-        return partial(_float_step_implicit, system, prop.float_coeffs)
-    return None
+    return partial(_float_step_explicit, system.scalar_rhs, prop.float_coeffs)
 
 
 def _compiled_kernel(prop: Propagator, system: OdeSystem, u):
@@ -513,6 +481,15 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     return out
 
 
+def _initial_state(system: OdeSystem, u0) -> Array:
+    """``u0`` as a float array; a ConfigError unless its shape is ``(d,)``."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (system.dim,):
+        raise ConfigError(
+            f"initial state has shape {u0.shape}, system dimension is {system.dim}")
+    return u0
+
+
 def _walk(tableau: ButcherTableau, system: OdeSystem, h: float, u0,
           steps) -> tuple:
     """``(states, failure)`` of one state walked from ``u0`` through the step
@@ -520,12 +497,8 @@ def _walk(tableau: ButcherTableau, system: OdeSystem, h: float, u0,
     a ``(1, d)`` row.  Without the kernel, or for a row that fails, a stretch
     is :func:`propagate` of the ``(d,)`` state, whose error is then the
     failure; the walk stops there and ``states`` ends before that stretch."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (system.dim,):
-        raise ConfigError(
-            f"initial state has shape {u0.shape}, system dimension is {system.dim}")
     states = np.empty((len(steps), system.dim))
-    states[0] = u0
+    states[0] = _initial_state(system, u0)
     props = {}  # one Propagator, and so one kernel runner, per stretch length
     for i in range(1, len(steps)):
         start, length = int(steps[i - 1]), int(steps[i] - steps[i - 1])

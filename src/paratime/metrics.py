@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, require_positive
-from .integrators import RK4, Propagator, _walk, propagate_with_tangent
+from .integrators import (RK4, Propagator, _initial_state, _walk,
+                          propagate_with_tangent)
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -106,7 +107,7 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
     blocks = max(1, int(round(horizon / (steps_per_block * h))))
     block_prop = Propagator(tableau=RK4, step=h, steps_per_call=steps_per_block)
 
-    u = np.asarray(u0, dtype=float)
+    u = _initial_state(system, u0)
     spin_steps = int(round(spinup / h))
     if spin_steps > 0:
         states, failure = _walk(RK4, system, h, u, (0, spin_steps))

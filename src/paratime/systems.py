@@ -17,13 +17,12 @@ steps use it.  Each built-in one differentiates its ``rhs`` term by term
 The integrators have two faster steps (see ``integrators``), and each
 system says which of them it supports:
 
-* Logistic, linear and Lorenz-63 carry Python-float kernels, used to advance
-  a single state: ``scalar_rhs(t, u)`` takes a sequence of ``d`` floats and
-  returns a tuple, and for ``d == 1`` ``scalar_jac(t, u)`` returns the one
-  Jacobian entry as a float.
+* Lorenz-63 carries a Python-float right-hand side, used to advance a
+  single state on an explicit tableau: ``scalar_rhs(t, u)`` takes a
+  sequence of ``d`` floats and returns a tuple.
 * All four built-in systems carry ``kernel = (code, params)``, which names
   the right-hand side and ``jvp`` of the compiled kernel (``_kernel.c``)
-  and their parameters; it advances batches, Lorenz-96 single states and
+  and their parameters; it advances batches, the other single states and
   tangent blocks.
 
 Each evaluates the same expressions in the same order as its array
@@ -56,13 +55,12 @@ class OdeSystem:
     params: dict = field(default_factory=dict)
     rhs: Callable[[float, Array], Array] = None
     jac: Callable[[float, Array], Array] = None
-    # Optional tangent product, float kernels and compiled-kernel spec
+    # Optional tangent product, float right-hand side and compiled-kernel spec
     # ``(code, params)``; a system built with ``dataclasses.replace`` keeps
     # them, so replace them too when the dynamics change.  The default
     # ``jvp``, ``jac(t, u) @ G``, follows the new ``jac`` by itself.
     jvp: Optional[Callable[[float, Array, Array], Array]] = None
     scalar_rhs: Optional[Callable[[float, Sequence[float]], tuple]] = None
-    scalar_jac: Optional[Callable[[float, Sequence[float]], float]] = None
     kernel: Optional[tuple] = None
 
     def __post_init__(self):
@@ -82,17 +80,8 @@ def make_logistic() -> OdeSystem:
     def jvp(t, u, G):
         return (1.0 - 2.0 * u)[..., np.newaxis] * G
 
-    def scalar_rhs(t, u):
-        (x,) = u
-        return (x * (1.0 - x),)
-
-    def scalar_jac(t, u):
-        (x,) = u
-        return 1.0 - 2.0 * x
-
     return OdeSystem(name="logistic", dim=1, params={}, rhs=rhs, jac=jac,
-                     jvp=jvp, scalar_rhs=scalar_rhs,
-                     scalar_jac=scalar_jac, kernel=("logistic", ()))
+                     jvp=jvp, kernel=("logistic", ()))
 
 
 def make_linear(a: float = 1.0) -> OdeSystem:
@@ -109,16 +98,8 @@ def make_linear(a: float = 1.0) -> OdeSystem:
     def jvp(t, u, G):
         return a * G
 
-    def scalar_rhs(t, u):
-        (x,) = u
-        return (a * x,)
-
-    def scalar_jac(t, u):
-        return float(a)
-
     return OdeSystem(name="linear", dim=1, params={"a": a}, rhs=rhs, jac=jac,
-                     jvp=jvp, scalar_rhs=scalar_rhs,
-                     scalar_jac=scalar_jac, kernel=("linear", (a,)))
+                     jvp=jvp, kernel=("linear", (a,)))
 
 
 def make_lorenz63(sigma: float = 10.0, rho: float = 28.0,
@@ -205,7 +186,7 @@ def make_lorenz96(D: int = 40, F: float = 8.0) -> OdeSystem:
         out -= G
         return out
 
-    # No float kernels: at d = 40 a step on Python lists is slower than the
+    # No ``scalar_rhs``: at d = 40 a step on Python lists is slower than the
     # array step; single states take the compiled kernel.
     return OdeSystem(name="lorenz96", dim=D, params={"D": D, "F": F},
                      rhs=rhs, jac=jac, jvp=jvp, kernel=("lorenz96", (F,)))

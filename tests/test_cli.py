@@ -97,8 +97,10 @@ def test_bad_config_file_is_a_configuration_error_naming_it(
     ("solve", "system: lorenz63\nparams: 5\n", "params"),
     ("solve", "system: lorenz63\nu0: foo\n", "u0"),
     ("sweep", "base: {system: logistic, T: 0.4, N: 4, xi: 10, h: 0.01}\n"
-              "mode: strong\nN_list: 4\n", "N_list")],
-    ids=["params-int", "u0-word", "N_list-int"])
+              "mode: strong\nN_list: 4\n", "N_list"),
+    ("sweep", "base: {system: logistic, T: 0.4, N: 4, xi: 10, h: 0.01}\n"
+              "mode: strong\nN_list: [4.5, 8]\n", "N_list")],
+    ids=["params-int", "u0-word", "N_list-int", "N_list-fraction"])
 def test_badly_shaped_field_is_a_configuration_error_naming_it(
         command, text, field, tmp_path, capsys):
     path = tmp_path / "run.yaml"
@@ -333,7 +335,12 @@ def test_bounds_prints_the_outer_radius_for_any_beta(argv, radius, slow,
     (["lyapunov", "--system", "lorenz63", "--step", "-1"], "--step"),
     (["lyapunov", "--system", "lorenz63", "--spinup", "-5"], "--spinup"),
     (["lyapunov", "--system", "lorenz63", "--spinup", "nan"], "--spinup"),
-    (["lyapunov", "--system", "lorenz63", "--spinup", "inf"], "--spinup")])
+    (["lyapunov", "--system", "lorenz63", "--spinup", "inf"], "--spinup"),
+    (["sweep", "--preset", "table-logistic-strong", "--N-list", "16.9"],
+     "--N-list"),
+    (["sweep", "--preset", "table-logistic-strong", "--N-list", "128",
+      "--out", "/nonexistent/x.csv"], "--out"),
+    (README_BOUNDS + ["--out", "/nonexistent/b.csv"], "--out")])
 def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")

@@ -245,10 +245,10 @@ def test_solve_skips_unchanged_chunks_bit_identically(case, monkeypatch):
                             store_iterates=True)
     monkeypatch.undo()
     assert len(report.propagated) == report.K >= 8
-    # The fine sweeps run as batches, the coarse guess and the correction
-    # sweeps one state at a time.
+    # The fine sweeps run as batches and the correction sweeps one state at a
+    # time; the coarse guess is a walk, which calls no engine propagate.
     assert sum(batch_rows) == sum(f for f, _ in report.propagated)
-    assert single_calls == grid.N + sum(c for _, c in report.propagated)
+    assert single_calls == sum(c for _, c in report.propagated)
     for k, (prev, curr) in enumerate(zip(report.iterates,
                                          report.iterates[1:]), start=1):
         nxt, _ = parareal_iterate(prev, fine, coarse, system, grid)
@@ -369,11 +369,11 @@ def test_blowup_carries_chunk_index():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_indices_same_without_float_kernels():
-    """Blow-ups on the serial float path name the same step and chunk as the
-    numpy path: in the solve (its fine sweep) and in the serial reference."""
+    """Blow-ups on the compiled serial path name the same step and chunk as
+    the numpy path: in the solve (its fine sweep) and in the serial
+    reference."""
     system = make_linear(50.0)
-    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
-                                     kernel=None)
+    array_only = dataclasses.replace(system, scalar_rhs=None, kernel=None)
     grid = GridSpec.make(T=40.0, N=4, xi=10, h=0.1)
     fine = fine_propagator(grid, RK4)
     coarse = coarse_propagator(grid, RK4)

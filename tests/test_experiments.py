@@ -10,11 +10,12 @@ import yaml
 
 from paratime import integrators
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
-from paratime.engine import fine_serial_reference
+from paratime.engine import coarse_sweep, fine_serial_reference
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.experiments import _ReferenceCache, run_single, run_sweep
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec,
-                                  fine_propagator, kernel_path)
+                                  coarse_propagator, fine_propagator,
+                                  kernel_path)
 from paratime.presets import PRESETS
 from paratime.systems import (make_linear, make_logistic, make_lorenz63,
                               make_lorenz96)
@@ -113,7 +114,8 @@ def test_load_config_applies_set_overrides_over_a_preset():
     ({"xi": 0}, "xi"), ({"h": 0.0}, "h"), ({"h": None, "L": 0}, "L"),
     ({"h": "1e-3"}, "h"), ({"T": float("nan")}, "T"), ({"eps": None}, "eps"),
     ({"eps": float("nan")}, "eps"), ({"eps": float("inf")}, "eps"),
-    ({"check": "psi", "weight": "lyapunov", "lam": float("nan")}, "lam")])
+    ({"check": "psi", "weight": "lyapunov", "lam": float("nan")}, "lam"),
+    ({"N": 4.5}, "N"), ({"xi": 2.5}, "xi"), ({"h": None, "L": 1.5}, "L")])
 def test_bad_numbers_raise_config_error_naming_the_field(bad, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
         run_single(small_solve_config(**bad))
@@ -223,11 +225,11 @@ WALK_GRIDS = [GridSpec.make(T=T, N=N, xi=10, h=1e-3)
 def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
     """The sweep's one shared walk gives every row's serial fine reference,
     bit for bit, and so do both walks on the array-only system (no float
-    step, no compiled kernel)."""
+    step, no compiled kernel); so does the coarse guess, the same walk on
+    the coarse propagator."""
     u0 = np.array(u0)
     grids = WALK_GRIDS
-    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
-                                     kernel=None)
+    array_only = dataclasses.replace(system, scalar_rhs=None, kernel=None)
     cache = _ReferenceCache(system, tab, 1e-3, u0, grids)
     array_cache = _ReferenceCache(array_only, tab, 1e-3, u0, grids)
     for step in cache.snapshots:
@@ -238,22 +240,26 @@ def test_reference_cache_matches_serial_reference_bitwise(system, tab, u0):
         assert np.array_equal(cache.trajectory(grid).states, ref.states)
         array_ref = fine_serial_reference(fine, array_only, grid, u0)
         assert np.array_equal(array_ref.states, ref.states)
+        coarse = coarse_propagator(grid, tab)
+        assert np.array_equal(coarse_sweep(coarse, system, grid, u0).states,
+                              coarse_sweep(coarse, array_only, grid, u0).states)
 
 
-def _walk_both(system, tab, u0):
+def _walk_all(system, tab, u0):
     _ReferenceCache(system, tab, 1e-3, np.array(u0), WALK_GRIDS)
     grid = WALK_GRIDS[-1]
     fine_serial_reference(fine_propagator(grid, tab), system, grid,
                           np.array(u0))
+    coarse_sweep(coarse_propagator(grid, tab), system, grid, np.array(u0))
 
 
 @pytest.mark.parametrize("system,tab,u0", WALKS[:2], ids=WALK_IDS[:2])
 def test_walks_take_the_float_step_only_without_the_kernel(system, tab, u0,
                                                            monkeypatch):
-    """Where the kernel is built, neither serial fine walk takes a float
-    step; without the system's kernel both take it at every step."""
-    name = "_float_step_" + ("explicit" if tab.is_explicit else "implicit")
-    float_step = getattr(integrators, name)
+    """Where the kernel is built, no serial walk (the two fine walks and the
+    coarse guess) takes a float step; without the system's kernel each takes
+    it at every step where the system has one (Lorenz-63 on RK4)."""
+    float_step = integrators._float_step_explicit
     calls = []
 
     def counted(*args):
@@ -261,17 +267,17 @@ def test_walks_take_the_float_step_only_without_the_kernel(system, tab, u0,
         return float_step(*args)
 
     def refused(*args):
-        raise AssertionError("a serial fine walk took the float step")
+        raise AssertionError("a serial walk took the float step")
 
     if kernel_path() == "c":
         monkeypatch.setattr(integrators, "_float_step_explicit", refused)
-        monkeypatch.setattr(integrators, "_float_step_implicit", refused)
-        _walk_both(system, tab, u0)
+        _walk_all(system, tab, u0)
         monkeypatch.undo()
-    monkeypatch.setattr(integrators, name, counted)
-    _walk_both(dataclasses.replace(system, kernel=None), tab, u0)
-    # The shared walk runs to the longest horizon, then the T = 1.6 row.
-    assert len(calls) == 2 * 1600
+    monkeypatch.setattr(integrators, "_float_step_explicit", counted)
+    _walk_all(dataclasses.replace(system, kernel=None), tab, u0)
+    # The shared walk runs to the longest horizon, then the T = 1.6 row, then
+    # the coarse guess of that row (xi = 10).
+    assert len(calls) == (2 * 1600 + 160 if system.scalar_rhs else 0)
 
 
 @pytest.mark.parametrize("tab, h, u0, error", [

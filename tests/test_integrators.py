@@ -211,6 +211,12 @@ def test_grid_spec_resolution():
         GridSpec.make(T=1.0, N=3, xi=100, h=1e-4)  # L not integer
     with pytest.raises(ConfigError):
         GridSpec.make(T=1.0, N=4, xi=100)  # neither h nor L
+    for field, kwargs in (("N", dict(N=4.5, xi=10, h=0.01)),
+                          ("xi", dict(N=4, xi=2.5, h=0.01)),
+                          ("L", dict(N=4, xi=10, L=2.5)),
+                          ("N", dict(N=float("nan"), xi=10, h=0.01))):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            GridSpec.make(T=1.0, **kwargs)
 
 
 def test_grid_propagator_wiring():
@@ -225,12 +231,12 @@ def test_grid_propagator_wiring():
 
 def array_only(system):
     """The same system without float or compiled kernels: numpy only."""
-    return dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
-                               kernel=None)
+    return dataclasses.replace(system, scalar_rhs=None, kernel=None)
 
 
-# Systems with float kernels, each with a batch of in-range states.
-FLOAT_SYSTEMS = {
+# Systems with a batch of in-range states each; Lorenz-63 alone has a float
+# step.
+SINGLE_STATE_SYSTEMS = {
     "logistic": (make_logistic(), [[1e-3], [0.2], [0.7], [1.3]]),
     "linear": (make_linear(-0.8), [[3.0], [-1.5], [0.0], [1e-9]]),
     "lorenz63": (make_lorenz63(), [[1.0, 1.0, 1.0], [-5.6, -7.3, 22.0],
@@ -239,16 +245,20 @@ FLOAT_SYSTEMS = {
 
 
 @pytest.mark.parametrize("tab", list(TABLEAUX.values()), ids=list(TABLEAUX))
-@pytest.mark.parametrize("name", list(FLOAT_SYSTEMS))
+@pytest.mark.parametrize("name", list(SINGLE_STATE_SYSTEMS))
 def test_single_state_matches_batch_row_bitwise(name, tab):
-    """A (d,) state, on the float path where one exists, gives the same bits
-    as the same row propagated in an (n, d) numpy batch."""
-    system, rows = FLOAT_SYSTEMS[name]
+    """A (d,) state, on the float step for Lorenz-63 on an explicit tableau
+    and on the compiled kernel where it covers the others, gives the same
+    bits as the same row propagated in an (n, d) numpy batch."""
+    system, rows = SINGLE_STATE_SYSTEMS[name]
     U = np.array(rows)
     prop = Propagator(tableau=tab, step=0.01, steps_per_call=60)
-    expect_float = tab.is_explicit or system.dim == 1
+    on_float = name == "lorenz63" and tab.is_explicit
     assert (_float_kernel(prop, system, np.asarray(0.5), U[0])
-            is not None) == expect_float
+            is not None) == on_float
+    if kernel_path() == "c" and not on_float:
+        assert ((_compiled_kernel(prop, system, U[0]) is not None)
+                == (tab.is_explicit or system.dim == 1))
     batched = propagate(prop, system, 0.5, U)
     for i in range(U.shape[0]):
         assert np.array_equal(propagate(prop, system, 0.5, U[i]), batched[i])
@@ -264,7 +274,7 @@ def test_float_path_not_taken_for_batches_or_array_times():
     assert _float_kernel(prop, array_only(system), np.asarray(0.0), u) is None
 
 
-def test_blowup_step_index_same_on_float_path():
+def test_blowup_step_index_same_with_and_without_the_kernel():
     lin = make_linear(80.0)
     prop = Propagator(tableau=EULER, step=10.0, steps_per_call=150)
     u = np.array([1.0])
@@ -277,7 +287,7 @@ def test_blowup_step_index_same_on_float_path():
     assert errors[0][0] is not None
 
 
-def test_newton_failure_same_on_float_path():
+def test_newton_failure_same_with_and_without_the_kernel():
     # The stage equation has no real root for u = -1, h = 0.9 (see above).
     sys1 = make_logistic()
     prop = Propagator(tableau=IMPLICIT_EULER, step=0.9, steps_per_call=1)
@@ -403,10 +413,10 @@ def test_kernel_bitwise_equal_to_rk_step(name, tab, shape):
 
 
 def test_kernel_path_choice():
-    """Single states of float-kernel systems take the float step; batches,
-    Lorenz-96 states and one-stage implicit steps with d == 1 the compiled
-    kernel; d > 1 implicit, float32 input and systems without a kernel spec
-    stay on numpy."""
+    """Lorenz-63 single states on an explicit tableau take the float step;
+    batches, other single states and one-stage implicit steps with d == 1
+    the compiled kernel; d > 1 implicit, float32 input and systems without a
+    kernel spec stay on numpy."""
     l63, l96, logistic = make_lorenz63(), make_lorenz96(), make_logistic()
     rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
     implicit = Propagator(tableau=IMPLICIT_EULER, step=0.01, steps_per_call=3)
@@ -414,9 +424,11 @@ def test_kernel_path_choice():
     u3 = np.array([1.0, 2.0, 3.0])
     assert _float_kernel(rk4, l63, t0, u3) is not None
     assert _float_kernel(rk4, l96, t0, np.full(40, 8.0)) is None
+    assert _float_kernel(implicit, logistic, t0, np.array([0.5])) is None
     compiled = kernel_path() == "c"
     for prop, system, u in ((rk4, l63, u3[None]), (rk4, l96, np.full(40, 8.0)),
-                            (implicit, logistic, np.array([[0.5], [0.2]]))):
+                            (implicit, logistic, np.array([[0.5], [0.2]])),
+                            (implicit, logistic, np.array([0.5]))):
         assert (_compiled_kernel(prop, system, u) is not None) == compiled
     assert _compiled_kernel(implicit, l63, u3[None]) is None
     assert _compiled_kernel(rk4, array_only(l63), u3[None]) is None

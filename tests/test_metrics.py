@@ -178,11 +178,19 @@ NAN, INF = float("nan"), float("inf")
     (0.0, NAN, 1.0, 0.1, "horizon"),
     (0.0, INF, 1.0, 0.1, "horizon"),
     (0.0, 1.0, NAN, 0.1, "renorm_interval"),
-    (0.0, 1.0, 1.0, NAN, "h")])
+    (0.0, 1.0, 1.0, NAN, "h"),
+    (0.0, 1.0, 1.0, 0.1, "u0"),
+    (1.0, 1.0, 1.0, 0.1, "u0")])
 def test_lyapunov_names_a_bad_spinup_or_non_finite_arg(spinup, horizon, renorm,
                                                        h, name):
-    with pytest.raises(ConfigError, match=f"{name}: "):
-        lyapunov_estimate(make_linear(1.0), np.array([1.0]), spinup, horizon,
+    # The "u0" rows pass a (2,) state, without and with a spin-up, and must
+    # raise the same error; the others pass a good state.
+    if name == "u0":
+        u0, match = [1.0, 2.0], r"^initial state has shape \(2,\)"
+    else:
+        u0, match = [1.0], f"{name}: "
+    with pytest.raises(ConfigError, match=match):
+        lyapunov_estimate(make_linear(1.0), np.array(u0), spinup, horizon,
                           renorm, h)
 
 
@@ -191,8 +199,7 @@ def test_lyapunov_names_a_bad_spinup_or_non_finite_arg(spinup, horizon, renorm,
 def test_lyapunov_spin_up_bitwise_equal_on_the_array_step(system):
     """The spin-up walk gives the same bits as on the array-only system (no
     float step, no compiled kernel), and so does the whole estimate."""
-    array_only = dataclasses.replace(system, scalar_rhs=None, scalar_jac=None,
-                                     kernel=None)
+    array_only = dataclasses.replace(system, scalar_rhs=None, kernel=None)
     u0 = np.array([1.0, 1.0, 1.0][:system.dim])
     lams = [lyapunov_estimate(s, u0, spinup=5.0, horizon=2.0,
                               renorm_interval=1.0, h=1e-2)

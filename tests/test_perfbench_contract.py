@@ -12,7 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from paratime import engine
+from paratime.criteria import StopCriterion
+from paratime.integrators import (RK4, GridSpec, coarse_propagator,
+                                  fine_propagator)
+from paratime.systems import make_lorenz63
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +35,18 @@ def test_traced_benchmark_round_is_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+def test_a_solve_never_enters_the_timed_reference_walk(monkeypatch):
+    """The benchmark times ``engine.fine_serial_reference`` as
+    ``reference_s``; the coarse guess of a solve walks without it."""
+    def refused(*args):
+        raise AssertionError("a solve called engine.fine_serial_reference")
+
+    monkeypatch.setattr(engine, "fine_serial_reference", refused)
+    grid = GridSpec.make(T=0.8, N=8, xi=10, h=1e-3)
+    report = engine.parareal_solve(
+        make_lorenz63(), grid, fine_propagator(grid, RK4),
+        coarse_propagator(grid, RK4), StopCriterion("standard", 1e-9),
+        np.array([1.0, 1.0, 1.0]))
+    assert 1 <= report.K <= grid.N
