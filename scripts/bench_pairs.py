@@ -14,9 +14,10 @@ wins, losses and ties against the base, "better" read from
 bound there (see :func:`verdict`).  It also records the seed, the CPU
 count, the numpy version, the kernel path, each side's kernel build flags
 (``kernel_flags``, read from that side's checkout), each side's line count
-of its package modules (``src_lines``, see :func:`src_lines`) and every
-run's metrics beside its round count (``rounds``: more rounds in a run of
-fixed length can raise its peak RSS).  Beside ``metrics``, each workload's
+of its package modules (``src_lines``) and of its kernel source
+(``kernel_c_lines``, ``src/paratime/_kernel.c``; see :func:`src_lines`),
+and every run's metrics beside its round count (``rounds``: more rounds in
+a run of fixed length can raise its peak RSS).  Beside ``metrics``, each workload's
 ``rounds`` holds the median and quartiles of that count for each side, so a
 ``peak_rss_mib`` verdict that comes from extra rounds reads at a glance.
 ``rss_fit`` holds, per workload and side, the least-squares line of
@@ -178,11 +179,12 @@ def kernel_flags(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines of the package's modules in ``checkout``: the newlines in
-    ``src/paratime/*.py``, as ``cat src/paratime/*.py | wc -l`` counts."""
+def src_lines(checkout: Path, pattern: str = "*.py") -> int:
+    """Lines of the package's files in ``checkout`` that match ``pattern``:
+    the newlines in ``src/paratime/<pattern>``, as ``cat
+    src/paratime/*.py | wc -l`` counts; 0 when no file matches."""
     return sum(path.read_bytes().count(b"\n")
-               for path in (checkout / "src" / "paratime").glob("*.py"))
+               for path in (checkout / "src" / "paratime").glob(pattern))
 
 
 def environment() -> dict:
@@ -223,6 +225,9 @@ def main(argv=None) -> int:
                                    for side in SIDES},
                   "src_lines": {side: src_lines(checkouts[side])
                                 for side in SIDES},
+                  "kernel_c_lines": {side: src_lines(checkouts[side],
+                                                     "_kernel.c")
+                                     for side in SIDES},
                   "workloads": {}, "runs": {}, "rss_fit": {}}
         for workload in workloads:
             pairs = []

@@ -210,38 +210,29 @@ int pt_explicit(int sys, const double *p, int d, int steps, int s,
  * tol * max(1, |u|) (NaN stays NaN), residual R = y - u - ha f, converged
  * when |R| <= tolerance (so NaN never converges), update y + (-R / M) with
  * M = 1 - ha f'(y), output u + hb f.  If a row has not converged after
- * maxiter iterations, every row's last |R| is left in res and the call
- * stops at that step. */
+ * maxiter iterations, the call stops there; the numpy re-run that names
+ * the failing step reports its residual. */
 int pt_implicit1(int sys, const double *p, int steps, double ha, double hb,
-                 double tol, int maxiter, int n, double *u, double *res)
+                 double tol, int maxiter, int n, double *u)
 {
     int st, r, it;
 
     for (st = 0; st < steps; st++) {
-        int failed = 0;
         for (r = 0; r < n; r++) {
-            double x = u[r], y = x, f = 0.0, R, ares = 0.0;
+            double x = u[r], y = x, f = 0.0, R;
             double ax = fabs(x);
             double tol_eff = tol * ((isnan(ax) || ax > 1.0) ? ax : 1.0);
-            int converged = 0;
             for (it = 0; it < maxiter; it++) {
                 rhs(sys, p, 1, &y, &f);
                 R = y - x - ha * f;
-                ares = fabs(R);
-                if (ares <= tol_eff) {
-                    converged = 1;
+                if (fabs(R) <= tol_eff)
                     break;
-                }
                 y = y + -R / (1.0 - ha * jac1(sys, p, y));
             }
-            res[r] = ares;
-            if (converged)
-                u[r] = x + hb * f;
-            else
-                failed = 1;
+            if (it == maxiter)
+                return PT_NEWTON_FAILED;
+            u[r] = x + hb * f;
         }
-        if (failed)
-            return PT_NEWTON_FAILED;
     }
     return all_finite(u, n) ? PT_OK : PT_NONFINITE;
 }

@@ -27,8 +27,6 @@ import threading
 from functools import lru_cache, partial
 from pathlib import Path
 
-import numpy as np
-
 SOURCE = Path(__file__).with_name("_kernel.c")
 CC = "cc"
 # Every multiply and add rounded on its own, as numpy rounds them.
@@ -62,9 +60,9 @@ SIGNATURES = {
     # sys, params, d, steps, s, plan, coef, n, u, m, tangent
     "pt_explicit": (_INT, _DOUBLES, _INT, _INT, _INT, ctypes.POINTER(_INT),
                     _DOUBLES, _INT, _DOUBLES, _INT, _DOUBLES),
-    # sys, params, steps, ha, hb, tol, maxiter, n, u, res
+    # sys, params, steps, ha, hb, tol, maxiter, n, u
     "pt_implicit1": (_INT, _DOUBLES, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
-                     _INT, _DOUBLES, _DOUBLES),
+                     _INT, _DOUBLES),
 }
 
 
@@ -166,17 +164,25 @@ def _combine(codes) -> int:
     return OK
 
 
+def _checked(out, status) -> tuple:
+    """``(out, status)``; a MemoryError when the call ran out of memory."""
+    if status == NO_MEMORY:
+        raise MemoryError("compiled kernel: out of memory")
+    return out, status
+
+
 def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
     """A function advancing a float64 ``(..., d)`` array by ``steps`` steps.
 
     ``kernel`` is a system's ``(code, params)`` and ``coeffs`` a
     propagator's ``float_coeffs``; ``implicit`` selects the one-stage Newton
-    step (``d == 1``).  The function returns ``(out, status, res)``: the
-    advanced copy, a return code, and for the Newton step every row's last
-    residual.  The explicit step also takes an optional C-contiguous float64
-    tangent block of shape ``(..., d, m)``, which it advances in place, and
-    splits a large batch into row blocks run on threads (see the module
-    docstring).  None when the library is not available.
+    step (``d == 1``).  The function returns ``(out, status)``: the advanced
+    copy and a return code other than ``NO_MEMORY``, which raises
+    MemoryError.  The explicit step also reads the optional second argument,
+    a C-contiguous float64 tangent block of shape ``(..., d, m)``, which it
+    advances in place, and splits a large batch into row blocks run on
+    threads (see the module docstring).  None when the library is not
+    available.
     """
     lib = load()
     if lib is None:
@@ -191,12 +197,9 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
         call = partial(lib.pt_implicit1, *head, steps, ha, hb, NEWTON_TOL,
                        NEWTON_MAXITER)
 
-        def run(u):
+        def run(u, tangent=None):
             out = u.copy()
-            res = np.empty(out.size)
-            status = call(out.size, ctypes.byref(as_ptr(out)),
-                          ctypes.byref(as_ptr(res)))
-            return out, status, res
+            return _checked(out, call(out.size, ctypes.byref(as_ptr(out))))
 
         return run
 
@@ -224,9 +227,8 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
              else min(cpu_count(), rows, work // MIN_WORK))
         if n < 2:
             g = None if tangent is None else ctypes.byref(as_ptr(tangent))
-            status = call(d, steps, len(stages), plan, coef, rows,
-                          ctypes.byref(as_ptr(out)), m, g)
-            return out, status, None
+            return _checked(out, call(d, steps, len(stages), plan, coef, rows,
+                                      ctypes.byref(as_ptr(out)), m, g))
         ptr, size = as_ptr(out), out.itemsize
         gptr = None if tangent is None else as_ptr(tangent)
 
@@ -236,6 +238,6 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
                         ctypes.byref(ptr, size * lo * d), m, g)
 
         bounds = [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
-        return out, _combine(run_blocks(block, bounds)), None
+        return _checked(out, _combine(run_blocks(block, bounds)))
 
     return run

@@ -16,6 +16,7 @@ unknown flag or a bad value included), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import _kernel
@@ -106,15 +107,21 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write the ``--out`` file; a path that cannot be written is a
-    configuration error naming the flag."""
+def _write_out(path: str, text: str | None = None) -> None:
+    """Write ``text`` to the ``--out`` file, or without it check before any
+    work that the file can be written: appending keeps an existing file's
+    contents, and a file that the check made is removed.  A path that
+    cannot be written is a configuration error naming the flag."""
+    made = text is None and not os.path.lexists(path)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        with open(path, "w" if text is not None else "a", newline="") as fh:
+            fh.write(text or "")
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
-    print(f"wrote {path}")
+    if made:
+        os.remove(path)
+    elif text is not None:
+        print(f"wrote {path}")
 
 
 def _cmd_sweep(args) -> int:
@@ -133,6 +140,8 @@ def _cmd_sweep(args) -> int:
         if getattr(args, flag) and sweep.mode in modes:
             raise ConfigError(f"--{flag.replace('_', '-')}: mode={sweep.mode} "
                               f"does not read it")
+    if args.out:
+        _write_out(args.out)
     text = experiments.run_sweep(sweep, "")
     if args.out:
         _write_out(args.out, text)
@@ -152,6 +161,8 @@ def _cmd_bounds(args) -> int:
     u0 = cfg.resolve_u0(system)
     grid = cfg.resolve_grid()
     fine, coarse = cfg.resolve_propagators(grid)
+    if args.out:
+        _write_out(args.out)
     ref = engine.fine_serial_reference(fine, system, grid, u0)
     cb = bounds_mod.beta_bound(fine, coarse, system, grid,
                                grid.interface_times, ref.states)

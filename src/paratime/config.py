@@ -75,7 +75,7 @@ class SolveConfig:
                 coarse_propagator(grid, get_tableau(self.coarse)))
 
     def resolve_criterion(self) -> StopCriterion:
-        return StopCriterion(kind=self.check, eps=self.eps, weight=self.weight,
+        return StopCriterion(check=self.check, eps=self.eps, weight=self.weight,
                              lam=self.lam)
 
     # -- serialization -------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import ConfigError, require_positive
 
 Array = np.ndarray
 
-CHECK_KINDS = ("standard", "psi")
+CHECKS = ("standard", "psi")
 WEIGHT_MODES = ("unit", "lyapunov", "lipschitz")
 
 # Chunks whose state norm sits below this are skipped by the relative check.
@@ -34,19 +34,19 @@ _SECANT_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class StopCriterion:
-    """Stopping rule: check kind, tolerance, weight mode and the Lyapunov
-    exponent that ``lyapunov`` weighting needs.  Errors name the config
-    field (``check``, ``eps``, ``weight``, ``lam``) that holds the value."""
+    """Stopping rule: the check, tolerance, weight mode and the Lyapunov
+    exponent that ``lyapunov`` weighting needs.  Each field is named as the
+    config field (and error text) that holds its value."""
 
-    kind: str = "standard"
+    check: str = "standard"
     eps: float = 1e-9
     weight: str = "unit"
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in CHECK_KINDS:
-            raise ConfigError(f"check: unknown value {self.kind!r}; "
-                              f"expected one of {sorted(CHECK_KINDS)}")
+        if self.check not in CHECKS:
+            raise ConfigError(f"check: unknown value {self.check!r}; "
+                              f"expected one of {sorted(CHECKS)}")
         if self.weight not in WEIGHT_MODES:
             raise ConfigError(f"weight: unknown value {self.weight!r}; "
                               f"expected one of {sorted(WEIGHT_MODES)}")
@@ -168,7 +168,7 @@ def check(criterion: StopCriterion, U_curr, U_prev, fine_prev_values: Array,
     older iterate, whose fine sweep ``fine_prev_values`` was computed this
     iteration.  Returns (fired, value).
     """
-    if criterion.kind == "standard":
+    if criterion.check == "standard":
         a = np.asarray(getattr(U_curr, "states", U_curr))[1:]
         b = np.asarray(getattr(U_prev, "states", U_prev))[1:]
         if a.shape != b.shape:

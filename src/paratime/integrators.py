@@ -11,18 +11,20 @@ tolerance and iteration limit that ``_kernel`` defines for every path
 (``NEWTON_TOL``, ``NEWTON_MAXITER``).
 
 Two faster steps give the same bits as the numpy step, which stays the
-reference:
+reference.  :func:`propagate` and :func:`propagate_with_tangent` run one
+chunk on the first that covers the input:
 
-* A single ``(d,)`` state with a scalar start time is advanced on Python
-  floats when the system supplies ``scalar_rhs`` and the tableau is
-  explicit: the corrected coarse sweep of Lorenz-63.
-* Every other call goes to the compiled kernel (``_kernel.c``, built on
-  first use) when the system has a ``kernel`` spec and the tableau is
-  explicit, or implicit with ``d == 1``: the batched fine sweeps,
-  ``parareal_iterate``'s coarse batch, the other single states, and the
-  ``(1, d)`` row of each :func:`_walk` stretch (the coarse guess and the
-  serial fine walks).  One foreign call advances the whole ``(n, d)`` batch
-  over the chunk.
+* the compiled kernel (``_kernel.c``, built on first use), when the system
+  has a ``kernel`` spec and the tableau is explicit, or implicit with
+  ``d == 1``: one foreign call advances the whole ``(n, d)`` batch, or the
+  one ``(d,)`` state of a :func:`_walk` stretch, over the chunk;
+* the float step, a single ``(d,)`` state on Python floats, when the system
+  supplies ``scalar_rhs`` (Lorenz-63 alone does) and the tableau is
+  explicit;
+* the numpy step.
+
+Only ``engine``'s corrected coarse sweep calls the float step
+(:func:`_float_chunk`) before the kernel; the comment there says why.
 
 Both perform the same IEEE operations in the same order as the numpy step
 (see ``_kernel.c`` for the compiler flags this needs); a numpy call on a
@@ -38,19 +40,16 @@ output bitwise equal to the numpy step's:
     logistic implicit Euler    1   121 us        -      0.04 us
     logistic implicit Euler  128   113 us        -       2.4 us
 
-A compiled call costs about 6.5 us on top of its steps.  The one-row
-compiled figure of Lorenz-63 is what a ``(1, 3)`` row takes; ``propagate``
-takes the float step on a ``(3,)`` state.
+A compiled call costs about 6.5 us on top of its steps.
 
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
 is differentiated, its slope taken by the system's ``jvp``), so ``m = d``
 with an identity seed yields the exact Jacobian of the numerical chunk map.
-:func:`propagate_with_tangent` runs them in the same compiled call as the
-state when the tableau is explicit and the block is float64 with shape
-``u.shape + (m,)``, bitwise equal to the numpy step.  That call advances
-the block in place: on a copy of the caller's block, or on the identity
-seed that :func:`propagate_with_jacobian` makes for itself.  Per RK4 step from
+The compiled kernel carries them in the same call as the state when the
+tableau is explicit and the block is float64 with shape ``u.shape + (m,)``,
+advancing in place a copy of the caller's block, or the identity seed that
+:func:`propagate_with_jacobian` makes for itself.  Per RK4 step from
 :func:`propagate_with_tangent`, same machine:
 
     tangent block            steps/call     numpy    compiled
@@ -67,10 +66,8 @@ into row blocks that run on threads at once, bitwise equal to one call: on
 2 CPUs the Lorenz-96 tangent call above ran 1.7-1.9x faster and a
 ``(64, 40)`` fine sweep of 300 steps 1.1-1.6x (see ``_kernel``).
 
-Tangents on implicit tableaux, broadcast tangent blocks, implicit steps
-with ``d > 1`` and the stepwise re-run that names a failing step use the
-numpy step, and so does everything when no C compiler is available
-(:func:`kernel_path` says which).
+The stepwise re-run that names a failing step uses the numpy step, and so
+does everything when no C compiler is available (:func:`kernel_path`).
 """
 
 from __future__ import annotations
@@ -345,11 +342,8 @@ def rk_step(tableau: ButcherTableau, system: OdeSystem, t, u: Array,
         raise ConfigError(f"rk_step: h must be >= 0, got {h}")
     if h == 0.0:
         return u.copy()
-    if tableau.is_explicit:
-        u_next, _ = _step_explicit(tableau, system, t, u, h, None)
-    else:
-        u_next, _ = _step_implicit(tableau, system, t, u, h, None)
-    return u_next
+    step = _step_explicit if tableau.is_explicit else _step_implicit
+    return step(tableau, system, t, u, h, None)[0]
 
 
 def rk_step_with_tangent(tableau: ButcherTableau, system: OdeSystem, t,
@@ -357,9 +351,8 @@ def rk_step_with_tangent(tableau: ButcherTableau, system: OdeSystem, t,
     """One RK step carrying a tangent block (exact step-map derivative)."""
     if h == 0.0:
         return u.copy(), tangent.copy()
-    if tableau.is_explicit:
-        return _step_explicit(tableau, system, t, u, h, tangent)
-    return _step_implicit(tableau, system, t, u, h, tangent)
+    step = _step_explicit if tableau.is_explicit else _step_implicit
+    return step(tableau, system, t, u, h, tangent)
 
 
 def _at_step(step_index, row):
@@ -377,6 +370,7 @@ _quiet = partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
 def _locate_failure(prop, system, t0, u):
     """Re-run a failed chunk on the numpy step, one step at a time, to name
     the step and the batch row where it blows up or its Newton solve fails."""
+    t0 = np.asarray(t0, dtype=float)
     with _quiet():
         for i in range(prop.steps_per_call):
             try:
@@ -407,30 +401,43 @@ def _float_step_explicit(rhs, coeffs, t, u):
     return u
 
 
-def _float_kernel(prop: Propagator, system: OdeSystem, t0, u):
-    """The float step for this call, or None when the array step must run."""
+def _float_chunk(prop: Propagator, system: OdeSystem, t0, u):
+    """The chunk on Python floats, bitwise equal to the numpy step, for a
+    ``(d,)`` float64 state at a scalar start time of a system with
+    ``scalar_rhs`` on an explicit tableau; None for any other input."""
     if (system.scalar_rhs is None or not prop.tableau.is_explicit
-            or t0.ndim != 0 or not isinstance(u, np.ndarray)
+            or np.ndim(t0) != 0 or not isinstance(u, np.ndarray)
             or u.dtype != np.float64 or u.shape != (system.dim,)):
         return None
-    return partial(_float_step_explicit, system.scalar_rhs, prop.float_coeffs)
+    t_start, y = float(t0), u.tolist()
+    for i in range(prop.steps_per_call):
+        y = _float_step_explicit(system.scalar_rhs, prop.float_coeffs,
+                                 t_start + i * prop.step, y)
+    out = np.array(y)
+    if not np.isfinite(out).all():
+        _locate_failure(prop, system, t0, u)
+    return out
 
 
-def _compiled_kernel(prop: Propagator, system: OdeSystem, u):
-    """The compiled chunk call for this input, or None when it cannot run."""
+def _compiled_kernel(prop: Propagator, system: OdeSystem, u, tangent=None):
+    """The compiled chunk call for this input, or None when it cannot run:
+    a state on an explicit tableau, or with ``d == 1`` on the one-stage
+    implicit one, and a tangent block only on an explicit tableau, as a
+    C-contiguous float64 array of shape ``u.shape + (m,)``."""
     tableau = prop.tableau
     if (system.kernel is None or not isinstance(u, np.ndarray)
             or u.dtype != np.float64 or u.ndim == 0 or u.size == 0
             or u.shape[-1] != system.dim
-            or not (tableau.is_explicit or system.dim == 1)):
+            or not (tableau.is_explicit or system.dim == 1 and tangent is None)
+            or tangent is not None and not (
+                tangent.dtype == np.float64 and tangent.flags.c_contiguous
+                and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0)):
         return None
-    try:
-        return prop._compiled[system.kernel]
-    except KeyError:
-        run = prop._compiled[system.kernel] = _kernel.runner(
+    if system.kernel not in prop._compiled:
+        prop._compiled[system.kernel] = _kernel.runner(
             system.kernel, prop.float_coeffs, not tableau.is_explicit,
             prop.steps_per_call)
-        return run
+    return prop._compiled[system.kernel]
 
 
 def kernel_path() -> str:
@@ -438,39 +445,30 @@ def kernel_path() -> str:
     return "numpy" if _kernel.load() is None else "c"
 
 
-def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
-    """Apply the propagator over one chunk: steps_per_call fixed RK steps.
-
-    ``u`` may carry leading batch axes; ``t0`` may then be an array of
-    matching shape (per-chunk start times).  A single state takes the float
-    step where one exists, and other inputs the compiled kernel where it
-    covers the system and tableau (see the module docstring); either output
-    is bitwise equal to the array step's.
-    """
-    t0 = np.asarray(t0, dtype=float)
-    step = prop.step
-    kernel = _float_kernel(prop, system, t0, u)
-    compiled = None if kernel is not None else _compiled_kernel(prop, system, u)
+def _chunk(prop: Propagator, system: OdeSystem, t0, u: Array, tangent=None):
+    """``(out, tangent)`` of one chunk, for :func:`propagate` (no block) and
+    :func:`propagate_with_tangent`.  It runs the compiled kernel where it
+    covers the input, else the float step for a single state where the
+    system has one, else the numpy step.  The kernel advances ``tangent`` in
+    place, so callers pass a block of their own."""
+    run = _compiled_kernel(prop, system, u, tangent)
+    if run is None and tangent is None and (
+            out := _float_chunk(prop, system, t0, u)) is not None:
+        return out, None
     try:
-        if kernel is not None:
-            t_start = float(t0)
-            y = u.tolist()
-            for i in range(prop.steps_per_call):
-                y = kernel(t_start + i * step, y)
-            out = np.array(y)
-            finite = np.isfinite(out).all()
-        elif compiled is not None:
-            out, status, _ = compiled(u)
-            if status == _kernel.NO_MEMORY:
-                raise MemoryError("compiled kernel: out of memory")
-            finite = status == _kernel.OK  # not NONFINITE nor NEWTON_FAILED
+        if run is not None:
+            out, status = run(u, tangent)
+            finite = status in (_kernel.OK, _kernel.TANGENT_NONFINITE)
+            tangent_finite = status != _kernel.TANGENT_NONFINITE
         else:
-            out = u
+            out, t0 = u, np.asarray(t0, dtype=float)
             with _quiet():
                 for i in range(prop.steps_per_call):
-                    t = t0 + i * step
-                    out = rk_step(prop.tableau, system, t, out, step)
+                    out, tangent = rk_step_with_tangent(
+                        prop.tableau, system, t0 + i * prop.step, out, tangent,
+                        prop.step)
             finite = np.isfinite(out).all()
+            tangent_finite = tangent is None or np.isfinite(tangent).all()
     except StepFailureError:
         finite = False
     # Finite check once per chunk; polynomial vector fields keep non-finite
@@ -478,7 +476,21 @@ def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
     # failed chunk is re-run stepwise only to report the failing step.
     if not finite:
         _locate_failure(prop, system, t0, u)
-    return out
+    if not tangent_finite:
+        raise BlowUpError("tangent block became non-finite")
+    return out, tangent
+
+
+def propagate(prop: Propagator, system: OdeSystem, t0, u: Array) -> Array:
+    """Apply the propagator over one chunk: steps_per_call fixed RK steps.
+
+    ``u`` may carry leading batch axes; ``t0`` may then be an array of
+    matching shape (per-chunk start times).  The input takes the compiled
+    kernel where it covers the system and tableau, else the float step if
+    it is a single state of a system with one, else the numpy step (see the
+    module docstring); every output is bitwise equal to the numpy step's.
+    """
+    return _chunk(prop, system, t0, u)[0]
 
 
 def _initial_state(system: OdeSystem, u0) -> Array:
@@ -493,25 +505,18 @@ def _initial_state(system: OdeSystem, u0) -> Array:
 def _walk(tableau: ButcherTableau, system: OdeSystem, h: float, u0,
           steps) -> tuple:
     """``(states, failure)`` of one state walked from ``u0`` through the step
-    counts ``steps`` (from 0) of size ``h``, each stretch one compiled call on
-    a ``(1, d)`` row.  Without the kernel, or for a row that fails, a stretch
-    is :func:`propagate` of the ``(d,)`` state, whose error is then the
-    failure; the walk stops there and ``states`` ends before that stretch."""
+    counts ``steps`` (from 0) of size ``h``, each stretch one :func:`propagate`
+    of the ``(d,)`` state: one compiled call where the kernel runs.  A
+    stretch's error is the failure: the walk stops there, and ``states``
+    ends before that stretch."""
     states = np.empty((len(steps), system.dim))
     states[0] = _initial_state(system, u0)
     props = {}  # one Propagator, and so one kernel runner, per stretch length
     for i in range(1, len(steps)):
         start, length = int(steps[i - 1]), int(steps[i] - steps[i - 1])
         prop = props[length] = props.get(length) or Propagator(tableau, h, length)
-        row = states[i - 1:i]
-        run = _compiled_kernel(prop, system, row)
-        if run is not None:
-            out, status, _ = run(row)
-            if status == _kernel.OK:
-                states[i] = out[0]
-                continue
         try:
-            states[i] = propagate(prop, system, start * h, row[0])
+            states[i] = propagate(prop, system, start * h, states[i - 1])
         except NumericalFailure as exc:
             return states[:i], exc
     return states, None
@@ -527,7 +532,7 @@ def propagate_with_tangent(prop: Propagator, system: OdeSystem, t0, u: Array,
     the compiled kernel where it covers the system, with the same bits as
     the numpy step.  The caller's block is left as it was.
     """
-    return _propagate_tangent(prop, system, t0, u, tangent, copy=True)
+    return _chunk(prop, system, t0, u, np.array(tangent, order="C"))
 
 
 def propagate_with_jacobian(prop: Propagator, system: OdeSystem, t0,
@@ -535,39 +540,4 @@ def propagate_with_jacobian(prop: Propagator, system: OdeSystem, t0,
     """Chunk propagation returning (output state, exact chunk-map Jacobian)."""
     d = u.shape[-1]
     eye = np.broadcast_to(np.eye(d), u.shape[:-1] + (d, d)).copy()
-    # The seed is private, so the compiled kernel advances it in place.
-    return _propagate_tangent(prop, system, t0, u, eye, copy=False)
-
-
-def _propagate_tangent(prop, system, t0, u, tangent, copy):
-    """:func:`propagate_with_tangent`; ``copy`` is passed to ``np.array``
-    for the block that the compiled kernel advances in place."""
-    t0 = np.asarray(t0, dtype=float)
-    run = (_compiled_kernel(prop, system, u) if prop.tableau.is_explicit
-           else None)
-    if (run is not None and isinstance(tangent, np.ndarray)
-            and tangent.dtype == np.float64
-            and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0):
-        tangent = np.array(tangent, order="C", copy=copy)
-        out, status, _ = run(u, tangent)
-        if status == _kernel.NO_MEMORY:
-            raise MemoryError("compiled kernel: out of memory")
-        finite = status != _kernel.NONFINITE
-        tangent_finite = status != _kernel.TANGENT_NONFINITE
-    else:
-        out = u
-        try:
-            with _quiet():
-                for i in range(prop.steps_per_call):
-                    t = t0 + i * prop.step
-                    out, tangent = rk_step_with_tangent(
-                        prop.tableau, system, t, out, tangent, prop.step)
-        except StepFailureError:
-            _locate_failure(prop, system, t0, u)
-        finite = np.isfinite(out).all()
-        tangent_finite = np.isfinite(tangent).all()
-    if not finite:
-        _locate_failure(prop, system, t0, u)
-    if not tangent_finite:
-        raise BlowUpError("tangent block became non-finite")
-    return out, tangent
+    return _chunk(prop, system, t0, u, eye)

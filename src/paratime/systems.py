@@ -18,12 +18,12 @@ The integrators have two faster steps (see ``integrators``), and each
 system says which of them it supports:
 
 * Lorenz-63 carries a Python-float right-hand side, used to advance a
-  single state on an explicit tableau: ``scalar_rhs(t, u)`` takes a
-  sequence of ``d`` floats and returns a tuple.
+  single state on an explicit tableau in its correction sweep, or where the
+  kernel does not run: ``scalar_rhs(t, u)`` takes ``d`` floats.
 * All four built-in systems carry ``kernel = (code, params)``, which names
   the right-hand side and ``jvp`` of the compiled kernel (``_kernel.c``)
-  and their parameters; it advances batches, the other single states and
-  tangent blocks.
+  and their parameters; it advances batches, single states and tangent
+  blocks.
 
 Each evaluates the same expressions in the same order as its array
 counterpart, so the results are bitwise equal.

@@ -70,7 +70,7 @@ class _SharedRuns:
         grid = GridSpec.make(T=T, N=N, xi=self.base.xi, h=self.base.h)
         fine = fine_propagator(grid, get_tableau(self.base.fine))
         coarse = coarse_propagator(grid, get_tableau(self.base.coarse))
-        crit = StopCriterion(kind=check, eps=self.base.eps, weight=weight,
+        crit = StopCriterion(check=check, eps=self.base.eps, weight=weight,
                              lam=lam)
         report = parareal_solve(self.system, grid, fine, coarse, crit,
                                 self.u0, store_iterates=True)

@@ -98,16 +98,18 @@ def test_kernel_flags_read_from_each_checkout(bench_pairs, tmp_path):
 
 def test_src_lines_counted_in_each_checkout(bench_pairs, tmp_path):
     """As ``cat src/paratime/*.py | wc -l``: newlines in the package's
-    modules only, a last line without one not counted."""
-    for name, files, want in (
-            ("base", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}, 3),
-            ("change", {"a.py": "x = 1\n", "b.py": "z = 3", "c.txt": "\n\n"},
-             1)):
+    modules only, a last line without one not counted; the kernel source
+    counted on its own, 0 where a checkout has none."""
+    for name, files, want, want_c in (
+            ("base", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}, 3, 0),
+            ("change", {"a.py": "x = 1\n", "b.py": "z = 3", "c.txt": "\n\n",
+                        "_kernel.c": "int f;\n\nint g;\n"}, 1, 3)):
         package = tmp_path / name / "src" / "paratime"
         package.mkdir(parents=True)
         for file, text in files.items():
             (package / file).write_text(text)
         assert bench_pairs.src_lines(tmp_path / name) == want
+        assert bench_pairs.src_lines(tmp_path / name, "_kernel.c") == want_c
 
 
 @pytest.mark.parametrize("base, change, want", [

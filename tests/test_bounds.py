@@ -438,7 +438,7 @@ def test_logistic_table_interfaces_saturate_below_n64():
         report = parareal_solve(
             system, grid, fine_propagator(grid, get_tableau(base.fine)),
             coarse_propagator(grid, get_tableau(base.coarse)),
-            StopCriterion(kind="standard", eps=base.eps), u0)
+            StopCriterion(check="standard", eps=base.eps), u0)
         first[N] = report.residual_history[0]
     assert all(first[N] < 1e-12 for N in (8, 16, 32)), first
     assert first[64] > 1e-8, first

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from paratime import _kernel
+from paratime import _kernel, engine, experiments
 from paratime.cli import build_parser, main
 from paratime.config import dump_config
+from paratime.errors import BlowUpError
 from paratime.integrators import kernel_path
 from sweep_csv import read_sweep_csv
 
@@ -344,6 +345,41 @@ def test_bounds_prints_the_outer_radius_for_any_beta(argv, radius, slow,
 def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
+
+
+# A command with --out, and the function that does its work.
+OUT_COMMANDS = pytest.mark.parametrize("argv, owner, work", [
+    (["sweep", "--preset", "table-logistic-strong", "--N-list", "128"],
+     experiments, "run_sweep"),
+    (README_BOUNDS, engine, "fine_serial_reference")], ids=["sweep", "bounds"])
+
+
+@OUT_COMMANDS
+def test_unwritable_out_is_found_before_computing(argv, owner, work,
+                                                  monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("computed before the --out path was checked")
+
+    monkeypatch.setattr(owner, work, refused)
+    assert main(argv + ["--out", "/nonexistent/x.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: --out: cannot write '/nonexistent/x.csv': "
+        "No such file or directory\n")
+
+
+@OUT_COMMANDS
+def test_failed_computation_leaves_the_out_path_as_it_was(argv, owner, work,
+                                                          monkeypatch,
+                                                          tmp_path):
+    def blow_up(*args):
+        raise BlowUpError("state became non-finite")
+
+    monkeypatch.setattr(owner, work, blow_up)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n")
+    assert main(argv + ["--out", str(old)]) == 2
+    assert main(argv + ["--out", str(new)]) == 2
+    assert old.read_text() == "kept\n" and not new.exists()
 
 
 def test_newton_failure_names_the_chunk_and_step(capsys):

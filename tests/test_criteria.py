@@ -141,10 +141,10 @@ def test_equivalence_constants_cases():
 
 
 def test_stop_criterion_is_frozen_and_takes_config_names():
-    crit = StopCriterion(kind="psi", weight="lipschitz")
+    crit = StopCriterion(check="psi", weight="lipschitz")
     with pytest.raises(dataclasses.FrozenInstanceError):
         crit.eps = 1.0
-    for bad, field in (({"kind": "proximity"}, "check"),
+    for bad, field in (({"check": "proximity"}, "check"),
                        ({"weight": "lipschitz_dynamic"}, "weight"),
                        ({"eps": 0.0}, "eps"), ({"weight": "lyapunov"}, "lam")):
         with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -152,14 +152,14 @@ def test_stop_criterion_is_frozen_and_takes_config_names():
 
 
 def test_check_standard_and_proximity():
-    crit = StopCriterion(kind="standard", eps=1e-10)
+    crit = StopCriterion(check="standard", eps=1e-10)
     rng = np.random.default_rng(6)
     states = rng.normal(size=(5, 2))
     U = _traj(states)
     fired, value = check(crit, U, _traj(states.copy()), None, 1.0)
     assert fired and value == 0.0
 
-    crit = StopCriterion(kind="psi", eps=1e-10)
+    crit = StopCriterion(check="psi", eps=1e-10)
     fine_values = states[1:].copy()
     fired, value = check(crit, U, U, fine_values, 1.0)
     assert fired and value == 0.0
@@ -168,7 +168,7 @@ def test_check_standard_and_proximity():
 
 
 def test_standard_check_skips_tiny_chunks():
-    crit = StopCriterion(kind="standard", eps=1e-10)
+    crit = StopCriterion(check="standard", eps=1e-10)
     a = np.array([[1.0], [0.0], [2.0]])
     b = np.array([[1.0], [1e-310], [2.0]])
     fired, value = check(crit, _traj(a), _traj(b), None, 1.0)

@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from paratime import engine
+from paratime import engine, integrators
 from paratime.criteria import WEIGHT_MODES, StopCriterion
 from paratime.engine import (TrajectoryVec, coarse_sweep,
                              fine_serial_reference, parareal_iterate,
                              parareal_solve)
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.integrators import (IMPLICIT_EULER, RK4, GridSpec, Propagator,
-                                  coarse_propagator, fine_propagator,
-                                  propagate)
+                                  _float_chunk, coarse_propagator,
+                                  fine_propagator, kernel_path, propagate)
 from paratime.systems import (default_initial_state, make_linear,
                               make_logistic, make_lorenz63, make_lorenz96)
 
@@ -240,13 +240,21 @@ def test_solve_skips_unchanged_chunks_bit_identically(case, monkeypatch):
             single_calls += 1
         return propagate(prop, system, t0, u)
 
+    def counting_float_chunk(prop, system, t0, u):
+        nonlocal single_calls
+        out = _float_chunk(prop, system, t0, u)
+        single_calls += out is not None
+        return out
+
     monkeypatch.setattr(engine, "propagate", counting_propagate)
+    monkeypatch.setattr(engine, "_float_chunk", counting_float_chunk)
     report = parareal_solve(system, grid, fine, coarse, crit, u0,
                             store_iterates=True)
     monkeypatch.undo()
     assert len(report.propagated) == report.K >= 8
     # The fine sweeps run as batches and the correction sweeps one state at a
-    # time; the coarse guess is a walk, which calls no engine propagate.
+    # time, on the float step where it applies and else by propagate; the
+    # coarse guess is a walk, which calls neither through the engine.
     assert sum(batch_rows) == sum(f for f, _ in report.propagated)
     assert single_calls == sum(c for _, c in report.propagated)
     for k, (prev, curr) in enumerate(zip(report.iterates,
@@ -261,6 +269,34 @@ def test_solve_skips_unchanged_chunks_bit_identically(case, monkeypatch):
         # Skips beyond the k - 1 locked rows: the repeating tail.
         assert any(fine_rows < grid.N - (k - 1)
                    for k, (fine_rows, _) in enumerate(report.propagated, start=1))
+
+
+@pytest.mark.skipif(kernel_path() != "c",
+                    reason="compiled kernel not available")
+def test_single_lorenz63_states_take_the_kernel_and_the_correction_sweep_the_float_step(
+        lorenz_setup, monkeypatch):
+    """With the compiled kernel, ``propagate`` runs a single Lorenz-63 state
+    on it, while the correction sweep takes the float step for every chunk
+    it propagates; both give the bits of the numpy step."""
+    system, grid, fine, coarse, u0 = lorenz_setup
+    numpy_only = dataclasses.replace(system, scalar_rhs=None, kernel=None)
+    float_step, calls = integrators._float_step_explicit, []
+
+    def counted(*args):
+        calls.append(1)
+        return float_step(*args)
+
+    monkeypatch.setattr(integrators, "_float_step_explicit", counted)
+    single = propagate(coarse, system, 0.0, u0)
+    assert not calls
+    assert np.array_equal(single, propagate(coarse, numpy_only, 0.0, u0))
+    crit = StopCriterion("psi", 1e-300, "unit")
+    report = parareal_solve(system, grid, fine, coarse, crit, u0)
+    assert len(calls) == coarse.steps_per_call * sum(
+        c for _, c in report.propagated) > 0
+    reference = parareal_solve(numpy_only, grid, fine, coarse, crit, u0)
+    assert np.array_equal(report.solution.states.view(np.uint64),
+                          reference.solution.states.view(np.uint64))
 
 
 def test_fine_sweep_reuses_only_bitwise_equal_rows():

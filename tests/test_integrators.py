@@ -12,7 +12,7 @@ from paratime import _kernel, integrators
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
 from paratime.integrators import (EULER, HEUN, IMPLICIT_EULER, RK4, TABLEAUX,
                                   ButcherTableau, GridSpec, Propagator,
-                                  _compiled_kernel, _float_kernel,
+                                  _compiled_kernel, _float_chunk,
                                   coarse_propagator, fine_propagator,
                                   get_tableau, kernel_path, propagate,
                                   propagate_with_jacobian,
@@ -247,31 +247,32 @@ SINGLE_STATE_SYSTEMS = {
 @pytest.mark.parametrize("tab", list(TABLEAUX.values()), ids=list(TABLEAUX))
 @pytest.mark.parametrize("name", list(SINGLE_STATE_SYSTEMS))
 def test_single_state_matches_batch_row_bitwise(name, tab):
-    """A (d,) state, on the float step for Lorenz-63 on an explicit tableau
-    and on the compiled kernel where it covers the others, gives the same
-    bits as the same row propagated in an (n, d) numpy batch."""
+    """A (d,) state, on the compiled kernel where it covers the system and
+    tableau, and on the float step for Lorenz-63 on an explicit tableau,
+    gives the same bits as the same row propagated in an (n, d) batch."""
     system, rows = SINGLE_STATE_SYSTEMS[name]
     U = np.array(rows)
     prop = Propagator(tableau=tab, step=0.01, steps_per_call=60)
     on_float = name == "lorenz63" and tab.is_explicit
-    assert (_float_kernel(prop, system, np.asarray(0.5), U[0])
-            is not None) == on_float
-    if kernel_path() == "c" and not on_float:
+    if kernel_path() == "c":
         assert ((_compiled_kernel(prop, system, U[0]) is not None)
                 == (tab.is_explicit or system.dim == 1))
     batched = propagate(prop, system, 0.5, U)
     for i in range(U.shape[0]):
         assert np.array_equal(propagate(prop, system, 0.5, U[i]), batched[i])
+        floats = _float_chunk(prop, system, 0.5, U[i])
+        assert (floats is not None) == on_float
+        assert floats is None or np.array_equal(floats, batched[i])
 
 
 def test_float_path_not_taken_for_batches_or_array_times():
     system = make_lorenz63()
     prop = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
     u = np.array([1.0, 2.0, 3.0])
-    assert _float_kernel(prop, system, np.asarray(0.0), u) is not None
-    assert _float_kernel(prop, system, np.asarray(0.0), u[None]) is None
-    assert _float_kernel(prop, system, np.zeros(1), u) is None
-    assert _float_kernel(prop, array_only(system), np.asarray(0.0), u) is None
+    assert _float_chunk(prop, system, np.asarray(0.0), u) is not None
+    assert _float_chunk(prop, system, np.asarray(0.0), u[None]) is None
+    assert _float_chunk(prop, system, np.zeros(1), u) is None
+    assert _float_chunk(prop, array_only(system), np.asarray(0.0), u) is None
 
 
 def test_blowup_step_index_same_with_and_without_the_kernel():
@@ -404,7 +405,7 @@ def test_kernel_bitwise_equal_to_rk_step(name, tab, shape):
     prop = Propagator(tableau=tab, step=0.01, steps_per_call=30)
     run = _compiled_kernel(prop, system, U)
     assert run is not None
-    out, status, _ = run(U)
+    out, status = run(U)
     assert status == _kernel.OK
     expected = numpy_walk(prop, system, 0.25, U)
     assert out.shape == expected.shape
@@ -413,20 +414,21 @@ def test_kernel_bitwise_equal_to_rk_step(name, tab, shape):
 
 
 def test_kernel_path_choice():
-    """Lorenz-63 single states on an explicit tableau take the float step;
-    batches, other single states and one-stage implicit steps with d == 1
-    the compiled kernel; d > 1 implicit, float32 input and systems without a
-    kernel spec stay on numpy."""
+    """Batches, single states and one-stage implicit steps with d == 1
+    take the compiled kernel; d > 1 implicit, float32 input and systems
+    without a kernel spec do not.  The float step exists only for Lorenz-63
+    single states on an explicit tableau."""
     l63, l96, logistic = make_lorenz63(), make_lorenz96(), make_logistic()
     rk4 = Propagator(tableau=RK4, step=0.01, steps_per_call=3)
     implicit = Propagator(tableau=IMPLICIT_EULER, step=0.01, steps_per_call=3)
     t0 = np.asarray(0.0)
     u3 = np.array([1.0, 2.0, 3.0])
-    assert _float_kernel(rk4, l63, t0, u3) is not None
-    assert _float_kernel(rk4, l96, t0, np.full(40, 8.0)) is None
-    assert _float_kernel(implicit, logistic, t0, np.array([0.5])) is None
+    assert _float_chunk(rk4, l63, t0, u3) is not None
+    assert _float_chunk(rk4, l96, t0, np.full(40, 8.0)) is None
+    assert _float_chunk(implicit, logistic, t0, np.array([0.5])) is None
     compiled = kernel_path() == "c"
-    for prop, system, u in ((rk4, l63, u3[None]), (rk4, l96, np.full(40, 8.0)),
+    for prop, system, u in ((rk4, l63, u3), (rk4, l63, u3[None]),
+                            (rk4, l96, np.full(40, 8.0)),
                             (implicit, logistic, np.array([[0.5], [0.2]])),
                             (implicit, logistic, np.array([0.5]))):
         assert (_compiled_kernel(prop, system, u) is not None) == compiled
@@ -473,7 +475,7 @@ def test_kernel_rounds_multiply_and_add_separately():
     a, h = -0.8, 0.1
     U = np.random.default_rng(5).uniform(0.1, 10.0, (64, 1))
     prop = Propagator(tableau=EULER, step=h, steps_per_call=1)
-    out, status, _ = _compiled_kernel(prop, make_linear(a), U)(U)
+    out, status = _compiled_kernel(prop, make_linear(a), U)(U)
     unfused = U + (h * 1.0) * (a * U)
     fused = np.array([[float(Fraction(h) * Fraction(float(a * u)) + Fraction(u))]
                       for (u,) in U])
@@ -558,7 +560,7 @@ def test_tangent_kernel_bitwise_equal_to_rk_step_with_tangent(name, tab, m,
     prop = Propagator(tableau=tab, step=0.01, steps_per_call=30)
     u_expected, g_expected = numpy_tangent_walk(prop, system, 0.25, U, G)
     g = G.copy()
-    out, status, _ = _compiled_kernel(prop, system, U)(U, g)
+    out, status = _compiled_kernel(prop, system, U)(U, g)
     assert status == _kernel.OK
     assert np.array_equal(out, u_expected)
     assert np.array_equal(g, g_expected)
@@ -741,7 +743,7 @@ def test_split_call_bitwise_equal_to_one_block(name, tab, m, n, blocks,
 
     def call():
         g = None if G is None else G.copy()
-        out, status, _ = run(U, g)
+        out, status = run(U, g)
         return out, status, g
 
     blocks(1)
