@@ -10,11 +10,13 @@
  *
  * Bitwise equality needs every multiply and add rounded on its own:
  *
- *     cc -O3 -ffp-contract=off -fno-fast-math -shared -fPIC
+ *     cc -O3 -ffp-contract=off -fno-fast-math -falign-loops=64 -shared -fPIC
  *
- * (_kernel.py builds it so; a fused multiply-add changes the last bit.)
- * -O3 vectorizes the element-wise loops over d and m: each vector lane
- * does the same multiply and add, in the same order, as the scalar loop.
+ * (_kernel.py builds it so.  A fused multiply-add changes the last bit; the
+ * loop alignment changes only speed.)  -O3 vectorizes the loops over d and
+ * m: each vector lane does the same multiply and add, in order, as a scalar.
+ * Each entry point returns PT_OK, PT_FAILED (a non-finite state or an
+ * unconverged Newton solve: Python re-runs the chunk) or PT_NO_MEMORY.
  */
 
 #include <math.h>
@@ -27,9 +29,8 @@
 /* System codes; _kernel.py lists the same names in the same order. */
 enum { LOGISTIC, LINEAR, LORENZ63, LORENZ96 };
 
-/* Return codes; _kernel.py reads them. */
-enum { PT_OK, PT_NONFINITE, PT_NEWTON_FAILED, PT_NO_MEMORY,
-       PT_TANGENT_NONFINITE };
+/* Return codes, least to most severe; _kernel.py lists the same order. */
+enum { PT_OK, PT_FAILED, PT_NO_MEMORY };
 
 /* f = rhs(u) for one state of dimension d, as the numpy rhs evaluates it. */
 static void rhs(int sys, const double *p, int d, const double *u, double *f)
@@ -123,13 +124,12 @@ static double jac1(int sys, const double *p, double x)
     return sys == LINEAR ? p[0] : 1.0 - 2.0 * x;
 }
 
-static int all_finite(const double *u, long size)
+static int finite_code(const double *u, long size)
 {
-    long i;
-    for (i = 0; i < size; i++)
-        if (!isfinite(u[i]))
-            return 0;
-    return 1;
+    while (size-- > 0)
+        if (!isfinite(u[size]))
+            return PT_FAILED;
+    return PT_OK;
 }
 
 /* Advance the n rows of u (n x d, row-major, in place) by `steps` explicit
@@ -199,19 +199,15 @@ int pt_explicit(int sys, const double *p, int d, int steps, int s,
         }
     }
     free(k);
-    if (!all_finite(u, (long)n * d))
-        return PT_NONFINITE;
-    return m > 0 && !all_finite(g, (long)(n * dm)) ? PT_TANGENT_NONFINITE
-                                                    : PT_OK;
+    return finite_code(u, (long)n * d);
 }
 
 /* Advance the n scalar states u by `steps` one-stage implicit steps, each
  * stage solved by Newton's method as the numpy step solves it: tolerance
  * tol * max(1, |u|) (NaN stays NaN), residual R = y - u - ha f, converged
  * when |R| <= tolerance (so NaN never converges), update y + (-R / M) with
- * M = 1 - ha f'(y), output u + hb f.  If a row has not converged after
- * maxiter iterations, the call stops there; the numpy re-run that names
- * the failing step reports its residual. */
+ * M = 1 - ha f'(y), output u + hb f.  A row that has not converged after
+ * maxiter iterations stops the call with PT_FAILED. */
 int pt_implicit1(int sys, const double *p, int steps, double ha, double hb,
                  double tol, int maxiter, int n, double *u)
 {
@@ -230,9 +226,9 @@ int pt_implicit1(int sys, const double *p, int steps, double ha, double hb,
                 y = y + -R / (1.0 - ha * jac1(sys, p, y));
             }
             if (it == maxiter)
-                return PT_NEWTON_FAILED;
+                return PT_FAILED;
             u[r] = x + hb * f;
         }
     }
-    return all_finite(u, n) ? PT_OK : PT_NONFINITE;
+    return finite_code(u, n);
 }

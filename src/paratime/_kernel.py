@@ -29,8 +29,10 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CC = "cc"
-# Every multiply and add rounded on its own, as numpy rounds them.
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+# Every multiply and add rounded on its own, as numpy rounds them; every
+# loop on a 64-byte boundary, so that an edit elsewhere cannot shift it.
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-falign-loops=64",
+         "-shared", "-fPIC")
 
 # The one-stage Newton solve, on every path: stop once the stage residual is
 # at most NEWTON_TOL * max(1, |u|), so that large-amplitude systems are not
@@ -40,8 +42,8 @@ NEWTON_MAXITER = 50
 
 # The system codes of ``_kernel.c``, in its order.
 SYSTEMS = ("logistic", "linear", "lorenz63", "lorenz96")
-# Its return codes.
-OK, NONFINITE, NEWTON_FAILED, NO_MEMORY, TANGENT_NONFINITE = range(5)
+# Its return codes, least to most severe: a split call returns the max.
+OK, FAILED, NO_MEMORY = range(3)
 
 # Work per block, in rows * d * (1 + m) * steps, that a split must leave;
 # smaller calls run as one.  Measured on a 2-core machine with the -O3
@@ -156,33 +158,18 @@ def run_blocks(call, bounds) -> list:
     return results
 
 
-def _combine(codes) -> int:
-    """One return code for a split call, the gravest first."""
-    for code in (NO_MEMORY, NONFINITE, TANGENT_NONFINITE):
-        if code in codes:
-            return code
-    return OK
-
-
-def _checked(out, status) -> tuple:
-    """``(out, status)``; a MemoryError when the call ran out of memory."""
-    if status == NO_MEMORY:
-        raise MemoryError("compiled kernel: out of memory")
-    return out, status
-
-
 def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
     """A function advancing a float64 ``(..., d)`` array by ``steps`` steps.
 
     ``kernel`` is a system's ``(code, params)`` and ``coeffs`` a
     propagator's ``float_coeffs``; ``implicit`` selects the one-stage Newton
     step (``d == 1``).  The function returns ``(out, status)``: the advanced
-    copy and a return code other than ``NO_MEMORY``, which raises
-    MemoryError.  The explicit step also reads the optional second argument,
-    a C-contiguous float64 tangent block of shape ``(..., d, m)``, which it
-    advances in place, and splits a large batch into row blocks run on
-    threads (see the module docstring).  None when the library is not
-    available.
+    copy and ``OK``, ``FAILED`` for a non-finite state or a Newton solve
+    that did not converge, or ``NO_MEMORY``.  The explicit step also reads
+    the optional second argument, a C-contiguous float64 tangent block of
+    shape ``(..., d, m)``, which it advances in place but does not check,
+    and splits a large batch into row blocks run on threads (see the module
+    docstring).  None when the library is not available.
     """
     lib = load()
     if lib is None:
@@ -199,7 +186,7 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
 
         def run(u, tangent=None):
             out = u.copy()
-            return _checked(out, call(out.size, ctypes.byref(as_ptr(out))))
+            return out, call(out.size, ctypes.byref(as_ptr(out)))
 
         return run
 
@@ -227,8 +214,8 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
              else min(cpu_count(), rows, work // MIN_WORK))
         if n < 2:
             g = None if tangent is None else ctypes.byref(as_ptr(tangent))
-            return _checked(out, call(d, steps, len(stages), plan, coef, rows,
-                                      ctypes.byref(as_ptr(out)), m, g))
+            return out, call(d, steps, len(stages), plan, coef, rows,
+                             ctypes.byref(as_ptr(out)), m, g)
         ptr, size = as_ptr(out), out.itemsize
         gptr = None if tangent is None else as_ptr(tangent)
 
@@ -238,6 +225,6 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
                         ctypes.byref(ptr, size * lo * d), m, g)
 
         bounds = [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
-        return _checked(out, _combine(run_blocks(block, bounds)))
+        return out, max(run_blocks(block, bounds))
 
     return run

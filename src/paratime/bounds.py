@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DiagnosticUnavailable
-from .integrators import ButcherTableau, GridSpec, Propagator, propagate_with_jacobian
+from .integrators import (ButcherTableau, GridSpec, Propagator,
+                          _compiled_kernel, propagate_with_jacobian)
 from .systems import OdeSystem
 
 Array = np.ndarray
@@ -45,6 +46,11 @@ Array = np.ndarray
 # blocks cost time: at 64 KiB (5 samples) and 32 KiB (2) a whole beta_bound
 # call took 1.20x and 1.35x as long as in one block.
 BLOCK_BYTES = 256 * 1024
+# The same without the kernel, whose numpy tangent step holds about eleven
+# block-sized arrays at once: there beta_bound's traced peak is 705 KiB,
+# against 2,804 KiB at BLOCK_BYTES, and a call took a median 60.7 ms
+# against 58.4 ms (5 and 20 samples per block; 41 alternated calls).
+NUMPY_BLOCK_BYTES = 64 * 1024
 
 
 def spectral_norm(M: Array) -> float:
@@ -132,10 +138,11 @@ def transport_term(g_norm: float, N: int) -> float:
     return float((g_norm ** N - 1.0) / (g_norm - 1.0))
 
 
-def _block_rows(d: int) -> int:
+def _block_rows(d: int, compiled: bool = True) -> int:
     """Samples per block: the (d, d) float64 Jacobians that fit in
-    BLOCK_BYTES, at least one."""
-    return max(1, BLOCK_BYTES // (8 * d * d))
+    BLOCK_BYTES, or NUMPY_BLOCK_BYTES if not ``compiled``; at least one."""
+    size = BLOCK_BYTES if compiled else NUMPY_BLOCK_BYTES
+    return max(1, size // (8 * d * d))
 
 
 def _chunk_norm_sups(fine: Propagator, coarse: Propagator, system: OdeSystem,
@@ -143,7 +150,12 @@ def _chunk_norm_sups(fine: Propagator, coarse: Propagator, system: OdeSystem,
     """Sampled suprema of ||JG|| and ||JF - JG|| over the chunk Jacobians
     at ``states``, formed one block of samples at a time."""
     g_sup = source = 0.0
-    rows = _block_rows(states.shape[-1])
+    d = states.shape[-1]
+    # The kernel covers a block if it covers one sample and its seed.
+    compiled = all(_compiled_kernel(prop, system, states[:1],
+                                    np.eye(d)[np.newaxis]) is not None
+                   for prop in (fine, coarse))
+    rows = _block_rows(d, compiled)
     for lo in range(0, states.shape[0], rows):
         t, u = times[lo:lo + rows], states[lo:lo + rows]
         # Each block is freed as soon as it is no longer needed, so that at

@@ -61,7 +61,6 @@ class StopCriterion:
 class NormEquivalence:
     """Constants tying the proximity value to the weighted trajectory error."""
 
-    theta: float
     c_lower: float
     C_upper: float
 
@@ -156,7 +155,7 @@ def equivalence_constants(Lambda_F: float, w: float, N: int) -> NormEquivalence:
         C = float(N) * float(N)
     else:
         C = N * (theta ** N - 1.0) / (theta - 1.0)
-    return NormEquivalence(theta=theta, c_lower=c, C_upper=C)
+    return NormEquivalence(c_lower=c, C_upper=C)
 
 
 def check(criterion: StopCriterion, U_curr, U_prev, fine_prev_values: Array,

@@ -447,10 +447,11 @@ def kernel_path() -> str:
 
 def _chunk(prop: Propagator, system: OdeSystem, t0, u: Array, tangent=None):
     """``(out, tangent)`` of one chunk, for :func:`propagate` (no block) and
-    :func:`propagate_with_tangent`.  It runs the compiled kernel where it
-    covers the input, else the float step for a single state where the
-    system has one, else the numpy step.  The kernel advances ``tangent`` in
-    place, so callers pass a block of their own."""
+    :func:`propagate_with_tangent`: on the compiled kernel where it covers
+    the input (its code ``OK`` passes, ``FAILED`` fails the chunk and
+    ``NO_MEMORY`` raises; it advances ``tangent`` in place, so callers pass
+    a block of their own), else the float step for a single state where the
+    system has one, else the numpy step.  The tangent is checked here."""
     run = _compiled_kernel(prop, system, u, tangent)
     if run is None and tangent is None and (
             out := _float_chunk(prop, system, t0, u)) is not None:
@@ -458,8 +459,9 @@ def _chunk(prop: Propagator, system: OdeSystem, t0, u: Array, tangent=None):
     try:
         if run is not None:
             out, status = run(u, tangent)
-            finite = status in (_kernel.OK, _kernel.TANGENT_NONFINITE)
-            tangent_finite = status != _kernel.TANGENT_NONFINITE
+            if status == _kernel.NO_MEMORY:
+                raise MemoryError("compiled kernel: out of memory")
+            finite = status == _kernel.OK
         else:
             out, t0 = u, np.asarray(t0, dtype=float)
             with _quiet():
@@ -468,15 +470,13 @@ def _chunk(prop: Propagator, system: OdeSystem, t0, u: Array, tangent=None):
                         prop.tableau, system, t0 + i * prop.step, out, tangent,
                         prop.step)
             finite = np.isfinite(out).all()
-            tangent_finite = tangent is None or np.isfinite(tangent).all()
     except StepFailureError:
         finite = False
-    # Finite check once per chunk; polynomial vector fields keep non-finite
-    # values non-finite, so a blow-up always surfaces at the chunk end.  A
-    # failed chunk is re-run stepwise only to report the failing step.
+    # One finite check per chunk: polynomial vector fields keep non-finite
+    # values non-finite.  A failed chunk is re-run only to name its step.
     if not finite:
         _locate_failure(prop, system, t0, u)
-    if not tangent_finite:
+    if tangent is not None and not np.isfinite(tangent).all():
         raise BlowUpError("tangent block became non-finite")
     return out, tangent
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, require_positive
-from .integrators import (RK4, Propagator, _initial_state, _walk,
+from .integrators import (RK4, Propagator, _initial_state, propagate,
                           propagate_with_tangent)
 from .systems import OdeSystem
 
@@ -99,10 +99,7 @@ def lyapunov_estimate(system: OdeSystem, u0: Array, spinup: float,
     u = _initial_state(system, u0)
     spin_steps = int(round(spinup / h))
     if spin_steps > 0:
-        states, failure = _walk(RK4, system, h, u, (0, spin_steps))
-        if failure is not None:
-            raise failure
-        u = states[-1]
+        u = propagate(Propagator(RK4, h, spin_steps), system, 0.0, u)
 
     v = np.ones((system.dim, 1)) / np.sqrt(system.dim)
     log_sum = 0.0

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paratime import bounds, presets
+from paratime import _kernel, bounds, presets
 from paratime.bounds import (beta_bound, empirical_order, estimate_mu_nu,
                              outer_ball_radius, source_term_empirical,
                              source_term_theoretical, spectral_norm,
@@ -359,23 +359,41 @@ def test_one_sample_blocks_bitwise_equal_to_per_matrix_loop(monkeypatch):
     _assert_bitwise_equal_to_per_matrix_loop(*BLOCK_CASES["l63-9"])
 
 
-def test_beta_bound_traced_peak_stays_under_one_mib():
-    """The chunk Jacobians of 65 Lorenz-96 samples take 1.6 MiB per stack;
-    streamed in blocks, beta_bound's traced peak stays below 1 MiB."""
+def _beta_bound_and_traced_peak():
+    """beta_bound at 65 Lorenz-96 samples, and its traced peak in bytes."""
     system, grid = BLOCK_CASES["l96-65"]
     fine, coarse = fine_propagator(grid, RK4), coarse_propagator(grid, RK4)
     states = fine_serial_reference(fine, system, grid,
                                    default_initial_state(system)).states
+    assert states.shape == (65, 40)
     args = (fine, coarse, system, grid, grid.interface_times, states)
     beta_bound(*args)  # the kernel is built and loaded before tracing
     tracemalloc.start()
     try:
-        beta_bound(*args)
+        cb = beta_bound(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert states.shape == (65, 40)
+    return cb, peak
+
+
+def test_beta_bound_traced_peak_stays_under_one_mib():
+    """The chunk Jacobians of 65 Lorenz-96 samples take 1.6 MiB per stack;
+    streamed in blocks, beta_bound's traced peak stays below 1 MiB."""
+    peak = _beta_bound_and_traced_peak()[1]
     assert peak <= 1024 * 1024, peak
+
+
+def test_beta_bound_traced_peak_stays_under_one_mib_without_the_kernel(
+        monkeypatch):
+    """The numpy tangent step holds several block-sized arrays at once, so
+    it takes smaller blocks: the peak stays below 1 MiB, and beta keeps the
+    bits it has on the kernel."""
+    cb = _beta_bound_and_traced_peak()[0]
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    numpy_cb, peak = _beta_bound_and_traced_peak()
+    assert peak <= 1024 * 1024, peak
+    assert numpy_cb == cb
 
 
 # -- root causes of the failing acceptance criteria ----------------------------

@@ -284,8 +284,8 @@ def test_walks_take_the_float_step_only_without_the_kernel(system, tab, u0,
     (RK4, 0.001, -0.1, BlowUpError),
     (IMPLICIT_EULER, 0.9, -0.001, StepFailureError)], ids=["blow-up", "newton"])
 def test_walk_failures_read_as_without_the_kernel(tab, h, u0, error):
-    """A failed stretch of the compiled row walk raises the error, text and
-    indices of the walk without the system's kernel."""
+    """A failed stretch of the walk on the compiled kernel raises the error,
+    text and indices of the walk without the system's kernel."""
     grid = GridSpec.make(T=4000 * h, N=4, xi=10, h=h)
     raised = []
     for system in (make_logistic(),

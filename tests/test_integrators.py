@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import shutil
 import tempfile
 import threading
@@ -784,13 +785,34 @@ def test_split_call_blowup_in_last_block_parity(n, blocks):
     assert errors[0][3] == "tangent block became non-finite"
 
 
-def test_split_call_return_codes_gravest_first():
-    OK, NONFINITE = _kernel.OK, _kernel.NONFINITE
-    TANGENT, NO_MEMORY = _kernel.TANGENT_NONFINITE, _kernel.NO_MEMORY
-    assert _kernel._combine([OK, OK]) == OK
-    assert _kernel._combine([OK, TANGENT]) == TANGENT
-    assert _kernel._combine([TANGENT, NONFINITE, OK]) == NONFINITE
-    assert _kernel._combine([NONFINITE, NO_MEMORY]) == NO_MEMORY
+@needs_kernel
+def test_split_call_return_codes_gravest_first(monkeypatch, blocks):
+    """The codes run from least to most severe, a split call returns the
+    largest of its blocks' codes, and a chunk whose call ran out of memory
+    raises MemoryError."""
+    OK, FAILED, NO_MEMORY = _kernel.OK, _kernel.FAILED, _kernel.NO_MEMORY
+    assert OK < FAILED < NO_MEMORY
+    system, states = KERNEL_SYSTEMS["lorenz63"]
+    U = states(np.random.default_rng(9), 3)
+    prop = Propagator(RK4, 0.01, 30)
+    run = _compiled_kernel(prop, system, U)
+    blocks(3)
+    for codes in ([OK, OK, OK], [OK, OK, FAILED], [FAILED, NO_MEMORY, OK]):
+        monkeypatch.setattr(_kernel, "run_blocks", lambda call, bounds: codes)
+        assert run(U)[1] == max(codes)
+    with pytest.raises(MemoryError):
+        propagate(prop, system, 0.0, U)
+
+
+def test_kernel_c_enums_match_kernel_py():
+    """The system codes and return codes of _kernel.c are the ones
+    _kernel.py lists, in the same order."""
+    systems, codes = ([name.strip() for name in body.split(",")] for body in
+                      re.findall(r"enum\s*\{([^}]*)\}",
+                                 _kernel.SOURCE.read_text()))
+    assert systems == [name.upper() for name in _kernel.SYSTEMS]
+    assert codes == ["PT_OK", "PT_FAILED", "PT_NO_MEMORY"]
+    assert (_kernel.OK, _kernel.FAILED, _kernel.NO_MEMORY) == (0, 1, 2)
 
 
 def test_worker_exception_reaches_the_caller(thread_starts):
