@@ -21,7 +21,10 @@ a run of fixed length can raise its peak RSS).  Beside ``metrics``, each workloa
 ``rounds`` holds the median and quartiles of that count for each side, so a
 ``peak_rss_mib`` verdict that comes from extra rounds reads at a glance.
 ``rss_fit`` holds, per workload and side, the least-squares line of
-``peak_rss_mib`` against ``rounds`` (see :func:`rss_fit`).
+``peak_rss_mib`` against ``rounds`` (see :func:`rss_fit`).  A run that
+exits non-zero is kept under ``runs`` with its exit code and last stderr
+line (see :func:`run_once`) and counted under the workload's ``errored``
+for its side; its pair is left out of the summary, and the script goes on.
 """
 
 from __future__ import annotations
@@ -151,14 +154,34 @@ def rounds(stdout: str) -> int | None:
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its last JSON line, and its round
-    count under ``rounds``."""
+    count under ``rounds``.  A run that exits non-zero gives ``exit``, its
+    exit code, and ``stderr``, the last line it wrote there, instead."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        lines = done.stderr.strip().splitlines()
+        return {"exit": done.returncode, "stderr": lines[-1] if lines else ""}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["rounds"] = rounds(done.stdout)
     return result
+
+
+def run_record(result: dict) -> dict:
+    """One run as ``runs`` keeps it: its round count and metric values, or
+    the exit code and last stderr line of a run that exited non-zero."""
+    if "exit" in result:
+        return result
+    return {"rounds": result["rounds"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def rev_parse(rev: str) -> str:
+    """The commit hash that ``rev`` names in this repository."""
+    return subprocess.run(["git", "rev-parse", rev], cwd=ROOT,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def export(rev: str, folder: Path) -> None:
@@ -213,9 +236,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
-                          capture_output=True, text=True,
-                          check=True).stdout.strip()
+    base = rev_parse(args.base)
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
         export(base, base_dir)
@@ -230,23 +251,29 @@ def main(argv=None) -> int:
                                      for side in SIDES},
                   "workloads": {}, "runs": {}, "rss_fit": {}}
         for workload in workloads:
-            pairs = []
+            pairs, runs = [], []
+            errored = dict.fromkeys(SIDES, 0)
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 got = {side: run_once(checkouts[side], workload, args.seed)
                        for side in order}
-                pairs.append((got["base"], got["change"]))
-                wall = {s: got[s]["metrics"].get("wall_s", {}).get("value")
+                runs.append({side: run_record(got[side]) for side in SIDES})
+                exited = [side for side in SIDES if "exit" in got[side]]
+                for side in exited:
+                    errored[side] += 1
+                if not exited:
+                    pairs.append((got["base"], got["change"]))
+                wall = {s: runs[-1][s].get("wall_s",
+                                           f"exit {runs[-1][s].get('exit')}")
                         for s in SIDES}
                 print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} "
                       f"first): wall_s base {wall['base']} change "
                       f"{wall['change']}", flush=True)
-            result["workloads"][workload] = summarize(pairs, better, bounds)
-            result["runs"][workload] = [
-                {side: {"rounds": p[j]["rounds"],
-                        **{k: v["value"] for k, v in p[j]["metrics"].items()}}
-                 for j, side in enumerate(SIDES)} for p in pairs]
-            result["rss_fit"][workload] = rss_fit(result["runs"][workload])
+            summary = (summarize(pairs, better, bounds) if pairs
+                       else {"pairs": 0})
+            result["workloads"][workload] = {**summary, "errored": errored}
+            result["runs"][workload] = runs
+            result["rss_fit"][workload] = rss_fit(runs)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -1,5 +1,10 @@
-/* Fixed-step Runge-Kutta chunk propagation over an (n, d) batch of states,
- * optionally carrying an (n, d, m) block of tangents.
+/* Fixed-step Runge-Kutta propagation of an (n, d) batch of states,
+ * optionally carrying an (n, d, m) block of tangents, through a list of
+ * stretches, each a count of steps.  Stretch j advances block j of the
+ * state array in place, starting from a copy of block j - 1 (block 0 holds
+ * the start states), so one call returns the state at every stretch end:
+ * a chunk is a walk of one stretch, and a serial walk through N interfaces
+ * is one call of N stretches.
  *
  * Each routine performs the same IEEE operations in the same order as the
  * numpy step in integrators.py, so its output is bitwise equal to it:
@@ -15,12 +20,15 @@
  * (_kernel.py builds it so.  A fused multiply-add changes the last bit; the
  * loop alignment changes only speed.)  -O3 vectorizes the loops over d and
  * m: each vector lane does the same multiply and add, in order, as a scalar.
- * Each entry point returns PT_OK, PT_FAILED (a non-finite state or an
- * unconverged Newton solve: Python re-runs the chunk) or PT_NO_MEMORY.
+ * The states are checked for finite values at each stretch end.  Each entry
+ * point returns PT_OK, PT_FAILED (a non-finite state or an unconverged
+ * Newton solve: the call stops in that stretch, writes its index to *done
+ * when done is not NULL, and Python re-runs the stretch) or PT_NO_MEMORY.
  */
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #ifdef __FAST_MATH__
 #error "_kernel.c must be built without -ffast-math"
@@ -132,103 +140,139 @@ static int finite_code(const double *u, long size)
     return PT_OK;
 }
 
-/* Advance the n rows of u (n x d, row-major, in place) by `steps` explicit
- * RK steps with s stages.  `plan` lists, per stage, the count of its
- * nonzero h*A_ij and their j, then the count of nonzero h*b_i and their i;
- * `coef` holds the matching products in the same order.  With m > 0, g
- * holds an n x d x m tangent block that is advanced alongside, each stage
- * formed with the same coefficients and its slope taken by jvp at the
- * stage state; with m == 0, g is not read. */
-int pt_explicit(int sys, const double *p, int d, int steps, int s,
-                const int *plan, const double *coef, int n, double *u,
-                int m, double *g)
+/* The code of a walk that stopped after stretch j of nst: PT_OK when it
+ * finished them all, else PT_FAILED with j written to *done. */
+static int stretch_end(int j, int nst, int *done)
 {
-    size_t dm = (size_t)d * m;
+    if (j == nst)
+        return PT_OK;
+    if (done != NULL)
+        *done = j;
+    return PT_FAILED;
+}
+
+/* Copy block j - 1 of the n x d state array into block j, the start of
+ * stretch j; block 0 already holds the start states. */
+static double *stretch_start(double *u, size_t nd, int j)
+{
+    double *uj = u + (size_t)j * nd;
+    if (j > 0)
+        memcpy(uj, uj - nd, sizeof(double) * nd);
+    return uj;
+}
+
+/* Walk the n rows of u (n x d, row-major) through nst stretches of
+ * explicit RK steps with s stages, lengths[j] steps in stretch j, writing
+ * the states at the end of stretch j to block j of u (see the header).
+ * `plan` lists, per stage, the count of its nonzero h*A_ij and their j,
+ * then the count of nonzero h*b_i and their i; `coef` holds the matching
+ * products in the same order.  With m > 0, g holds an n x d x m tangent
+ * block that is advanced alongside, in place over every stretch, each
+ * stage formed with the same coefficients and its slope taken by jvp at
+ * the stage state; with m == 0, g is not read. */
+int pt_explicit(int sys, const double *p, int s, const int *plan,
+                const double *coef, int d, int m, double *g, int nst,
+                const int *lengths, int n, double *u, int *done)
+{
+    size_t dm = (size_t)d * m, nd = (size_t)n * d;
     double *k = malloc(sizeof(double) * (size_t)(s + 1) * (d + dm));
     double *Y = k + (size_t)s * d;
     double *kt = Y + d, *GY = kt + (size_t)s * dm;
-    int st, r, i, e, c;
+    int j, st, r, i, e, c;
     size_t q;
 
     if (k == NULL)
         return PT_NO_MEMORY;
-    for (st = 0; st < steps; st++) {
-        for (r = 0; r < n; r++) {
-            double *ur = u + (size_t)r * d;
-            double *gr = m > 0 ? g + (size_t)r * dm : NULL;
-            const int *pl = plan;
-            const double *cf = coef;
-            for (i = 0; i < s; i++) {
-                const double *src = ur, *gsrc = gr;
-                int cnt = *pl++;
-                for (e = 0; e < cnt; e++) {
-                    const double *kj = k + (size_t)pl[e] * d;
-                    double a = cf[e];
-                    for (c = 0; c < d; c++)
-                        Y[c] = src[c] + a * kj[c];
-                    src = Y;
-                }
-                rhs(sys, p, d, src, k + (size_t)i * d);
-                if (m > 0) {
+    for (j = 0; j < nst; j++) {
+        double *uj = stretch_start(u, nd, j);
+        for (st = 0; st < lengths[j]; st++) {
+            for (r = 0; r < n; r++) {
+                double *ur = uj + (size_t)r * d;
+                double *gr = m > 0 ? g + (size_t)r * dm : NULL;
+                const int *pl = plan;
+                const double *cf = coef;
+                for (i = 0; i < s; i++) {
+                    const double *src = ur, *gsrc = gr;
+                    int cnt = *pl++;
                     for (e = 0; e < cnt; e++) {
-                        const double *ktj = kt + (size_t)pl[e] * dm;
+                        const double *kj = k + (size_t)pl[e] * d;
                         double a = cf[e];
-                        for (q = 0; q < dm; q++)
-                            GY[q] = gsrc[q] + a * ktj[q];
-                        gsrc = GY;
+                        for (c = 0; c < d; c++)
+                            Y[c] = src[c] + a * kj[c];
+                        src = Y;
                     }
-                    jvp(sys, p, d, m, src, gsrc, kt + (size_t)i * dm);
-                }
-                pl += cnt;
-                cf += cnt;
-            }
-            {
-                int cnt = *pl++;
-                for (e = 0; e < cnt; e++) {
-                    const double *ki = k + (size_t)pl[e] * d;
-                    double hb = cf[e];
-                    for (c = 0; c < d; c++)
-                        ur[c] = ur[c] + hb * ki[c];
+                    rhs(sys, p, d, src, k + (size_t)i * d);
                     if (m > 0) {
-                        const double *kti = kt + (size_t)pl[e] * dm;
-                        for (q = 0; q < dm; q++)
-                            gr[q] = gr[q] + hb * kti[q];
+                        for (e = 0; e < cnt; e++) {
+                            const double *ktj = kt + (size_t)pl[e] * dm;
+                            double a = cf[e];
+                            for (q = 0; q < dm; q++)
+                                GY[q] = gsrc[q] + a * ktj[q];
+                            gsrc = GY;
+                        }
+                        jvp(sys, p, d, m, src, gsrc, kt + (size_t)i * dm);
+                    }
+                    pl += cnt;
+                    cf += cnt;
+                }
+                {
+                    int cnt = *pl++;
+                    for (e = 0; e < cnt; e++) {
+                        const double *ki = k + (size_t)pl[e] * d;
+                        double hb = cf[e];
+                        for (c = 0; c < d; c++)
+                            ur[c] = ur[c] + hb * ki[c];
+                        if (m > 0) {
+                            const double *kti = kt + (size_t)pl[e] * dm;
+                            for (q = 0; q < dm; q++)
+                                gr[q] = gr[q] + hb * kti[q];
+                        }
                     }
                 }
             }
         }
+        if (finite_code(uj, (long)nd) != PT_OK)
+            break;
     }
     free(k);
-    return finite_code(u, (long)n * d);
+    return stretch_end(j, nst, done);
 }
 
-/* Advance the n scalar states u by `steps` one-stage implicit steps, each
- * stage solved by Newton's method as the numpy step solves it: tolerance
- * tol * max(1, |u|) (NaN stays NaN), residual R = y - u - ha f, converged
- * when |R| <= tolerance (so NaN never converges), update y + (-R / M) with
- * M = 1 - ha f'(y), output u + hb f.  A row that has not converged after
- * maxiter iterations stops the call with PT_FAILED. */
-int pt_implicit1(int sys, const double *p, int steps, double ha, double hb,
-                 double tol, int maxiter, int n, double *u)
+/* Walk the n scalar states u through nst stretches of one-stage implicit
+ * steps, lengths[j] steps in stretch j, writing block j of u as
+ * pt_explicit does.  Each stage is solved by Newton's method as the numpy
+ * step solves it: tolerance tol * max(1, |u|) (NaN stays NaN), residual
+ * R = y - u - ha f, converged when |R| <= tolerance (so NaN never
+ * converges), update y + (-R / M) with M = 1 - ha f'(y), output u + hb f.
+ * A row that has not converged after maxiter iterations stops the call
+ * with PT_FAILED. */
+int pt_implicit1(int sys, const double *p, double ha, double hb, double tol,
+                 int maxiter, int nst, const int *lengths, int n, double *u,
+                 int *done)
 {
-    int st, r, it;
+    int j, st, r, it;
 
-    for (st = 0; st < steps; st++) {
-        for (r = 0; r < n; r++) {
-            double x = u[r], y = x, f = 0.0, R;
-            double ax = fabs(x);
-            double tol_eff = tol * ((isnan(ax) || ax > 1.0) ? ax : 1.0);
-            for (it = 0; it < maxiter; it++) {
-                rhs(sys, p, 1, &y, &f);
-                R = y - x - ha * f;
-                if (fabs(R) <= tol_eff)
-                    break;
-                y = y + -R / (1.0 - ha * jac1(sys, p, y));
+    for (j = 0; j < nst; j++) {
+        double *uj = stretch_start(u, (size_t)n, j);
+        for (st = 0; st < lengths[j]; st++) {
+            for (r = 0; r < n; r++) {
+                double x = uj[r], y = x, f = 0.0, R;
+                double ax = fabs(x);
+                double tol_eff = tol * ((isnan(ax) || ax > 1.0) ? ax : 1.0);
+                for (it = 0; it < maxiter; it++) {
+                    rhs(sys, p, 1, &y, &f);
+                    R = y - x - ha * f;
+                    if (fabs(R) <= tol_eff)
+                        break;
+                    y = y + -R / (1.0 - ha * jac1(sys, p, y));
+                }
+                if (it == maxiter)
+                    return stretch_end(j, nst, done);
+                uj[r] = x + hb * f;
             }
-            if (it == maxiter)
-                return PT_FAILED;
-            u[r] = x + hb * f;
         }
+        if (finite_code(uj, n) != PT_OK)
+            break;
     }
-    return finite_code(u, n);
+    return stretch_end(j, nst, done);
 }

@@ -8,13 +8,14 @@ build at the same time do not see each other's half-written files.  Without
 a working compiler, or without the source file, :func:`load` returns None
 and the integrators use the numpy step.
 
-A large explicit call is split into contiguous row blocks that run at the
-same time, one on the caller and the others on ``threading.Thread``s:
-``ctypes`` releases the interpreter lock during the foreign call, and rows
-share no state, so the output is bitwise equal for any split.  A call is
-split into at most as many blocks as the process has CPUs (its affinity
-mask) and rows, with at least ``MIN_WORK`` of work per block; the
-one-stage Newton call is never split.
+A large explicit chunk call is split into contiguous row blocks that run
+at the same time, one on the caller and the others on
+``threading.Thread``s: ``ctypes`` releases the interpreter lock during the
+foreign call, and rows share no state, so the output is bitwise equal for
+any split.  A call is split into at most as many blocks as the process has
+CPUs (its affinity mask) and rows, with at least ``MIN_WORK`` of work per
+block; the one-stage Newton call and a walk of several stretches (a serial
+walk has one row) are never split.
 """
 
 from __future__ import annotations
@@ -56,15 +57,15 @@ OK, FAILED, NO_MEMORY = range(3)
 MIN_WORK = 200_000
 
 _INT, _DOUBLE = ctypes.c_int, ctypes.c_double
-_DOUBLES = ctypes.POINTER(_DOUBLE)
+_INTS, _DOUBLES = ctypes.POINTER(_INT), ctypes.POINTER(_DOUBLE)
 # Its entry points: argument types, all returning a code.
 SIGNATURES = {
-    # sys, params, d, steps, s, plan, coef, n, u, m, tangent
-    "pt_explicit": (_INT, _DOUBLES, _INT, _INT, _INT, ctypes.POINTER(_INT),
-                    _DOUBLES, _INT, _DOUBLES, _INT, _DOUBLES),
-    # sys, params, steps, ha, hb, tol, maxiter, n, u
-    "pt_implicit1": (_INT, _DOUBLES, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
-                     _INT, _DOUBLES),
+    # sys, params, s, plan, coef, d, m, tangent, nst, lengths, n, u, done
+    "pt_explicit": (_INT, _DOUBLES, _INT, _INTS, _DOUBLES, _INT, _INT,
+                    _DOUBLES, _INT, _INTS, _INT, _DOUBLES, _INTS),
+    # sys, params, ha, hb, tol, maxiter, nst, lengths, n, u, done
+    "pt_implicit1": (_INT, _DOUBLES, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _INT,
+                     _INTS, _INT, _DOUBLES, _INTS),
 }
 
 
@@ -158,8 +159,67 @@ def run_blocks(call, bounds) -> list:
     return results
 
 
+def _entry(kernel: tuple, coeffs: tuple, implicit: bool):
+    """The entry point for a system's ``(code, params)``, a propagator's
+    ``float_coeffs`` and ``implicit`` (the one-stage Newton step, ``d ==
+    1``), with those bound: it takes the arguments from ``nst`` on, after
+    ``(d, m, tangent)`` when explicit.  None when the library is not
+    available."""
+    lib = load()
+    if lib is None:
+        return None
+    code, params = kernel
+    head = (SYSTEMS.index(code), (_DOUBLE * len(params))(*params))
+    if implicit:
+        ((_, ((_, ha),)),), ((_, hb),) = coeffs
+        return partial(lib.pt_implicit1, *head, ha, hb, NEWTON_TOL,
+                       NEWTON_MAXITER)
+    stages, weights = coeffs
+    plan, coef = [], []
+    for _, row in stages:
+        plan.append(len(row))
+        for j, a in row:
+            plan.append(j)
+            coef.append(a)
+    plan.append(len(weights))
+    for i, b in weights:
+        plan.append(i)
+        coef.append(b)
+    return partial(lib.pt_explicit, *head, len(stages),
+                   (_INT * len(plan))(*plan), (_DOUBLE * len(coef))(*coef))
+
+
+def walker(kernel: tuple, coeffs: tuple, implicit: bool):
+    """A function walking one state through stretches in one call.
+
+    ``kernel``, ``coeffs`` and ``implicit`` are as for :func:`runner`.  The
+    function is ``walk(states, lengths)``: ``lengths`` holds the stretches'
+    step counts as a numpy ``intc`` array, and ``states`` is a C-contiguous
+    float64 ``(len(lengths), d)`` array whose row 0 holds the start state.
+    Stretch j advances row j in place from a copy of row j - 1 (see
+    ``_kernel.c``).  It returns ``(status, done)``: ``OK``; ``FAILED`` for
+    a non-finite state at a stretch end or a Newton solve that did not
+    converge, ``done`` being the stretches finished before the failing one
+    and the rows from ``done`` on not to be read; or ``NO_MEMORY``.  None
+    when the library is not available.
+    """
+    call = _entry(kernel, coeffs, implicit)
+    if call is None:
+        return None
+    as_ptr, as_ints, byref = _DOUBLE.from_buffer, _INT.from_buffer, ctypes.byref
+
+    def walk(states, lengths):
+        done = _INT(len(lengths))
+        lead = () if implicit else (states.shape[-1], 0, None)
+        return call(*lead, len(lengths), byref(as_ints(lengths)), 1,
+                    byref(as_ptr(states)), byref(done)), done.value
+
+    return walk
+
+
 def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
-    """A function advancing a float64 ``(..., d)`` array by ``steps`` steps.
+    """A function advancing a float64 ``(..., d)`` array by ``steps`` steps:
+    a walk of one stretch.
 
     ``kernel`` is a system's ``(code, params)`` and ``coeffs`` a
     propagator's ``float_coeffs``; ``implicit`` selects the one-stage Newton
@@ -171,38 +231,18 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
     and splits a large batch into row blocks run on threads (see the module
     docstring).  None when the library is not available.
     """
-    lib = load()
-    if lib is None:
+    call = _entry(kernel, coeffs, implicit)
+    if call is None:
         return None
-    code, params = kernel
-    head = (SYSTEMS.index(code), (_DOUBLE * len(params))(*params))
-    stages, weights = coeffs
-    as_ptr = _DOUBLE.from_buffer
+    as_ptr, byref = _DOUBLE.from_buffer, ctypes.byref
+    one = (_INT * 1)(steps)
 
     if implicit:
-        ((_, ((_, ha),)),), ((_, hb),) = coeffs
-        call = partial(lib.pt_implicit1, *head, steps, ha, hb, NEWTON_TOL,
-                       NEWTON_MAXITER)
-
         def run(u, tangent=None):
             out = u.copy()
-            return out, call(out.size, ctypes.byref(as_ptr(out)))
+            return out, call(1, one, out.size, byref(as_ptr(out)), None)
 
         return run
-
-    plan, coef = [], []
-    for _, row in stages:
-        plan.append(len(row))
-        for j, a in row:
-            plan.append(j)
-            coef.append(a)
-    plan.append(len(weights))
-    for i, b in weights:
-        plan.append(i)
-        coef.append(b)
-    plan = (_INT * len(plan))(*plan)
-    coef = (_DOUBLE * len(coef))(*coef)
-    call = partial(lib.pt_explicit, *head)
 
     def run(u, tangent=None):
         out = u.copy()
@@ -213,16 +253,15 @@ def runner(kernel: tuple, coeffs: tuple, implicit: bool, steps: int):
         n = (1 if work < 2 * MIN_WORK
              else min(cpu_count(), rows, work // MIN_WORK))
         if n < 2:
-            g = None if tangent is None else ctypes.byref(as_ptr(tangent))
-            return out, call(d, steps, len(stages), plan, coef, rows,
-                             ctypes.byref(as_ptr(out)), m, g)
+            g = None if tangent is None else byref(as_ptr(tangent))
+            return out, call(d, m, g, 1, one, rows, byref(as_ptr(out)), None)
         ptr, size = as_ptr(out), out.itemsize
         gptr = None if tangent is None else as_ptr(tangent)
 
         def block(lo, hi):
-            g = None if gptr is None else ctypes.byref(gptr, size * lo * d * m)
-            return call(d, steps, len(stages), plan, coef, hi - lo,
-                        ctypes.byref(ptr, size * lo * d), m, g)
+            g = None if gptr is None else byref(gptr, size * lo * d * m)
+            return call(d, m, g, 1, one, hi - lo, byref(ptr, size * lo * d),
+                        None)
 
         bounds = [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
         return out, max(run_blocks(block, bounds))

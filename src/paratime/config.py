@@ -64,6 +64,9 @@ class SolveConfig:
         if u0.shape != (system.dim,):
             raise ConfigError(
                 f"u0: expected {system.dim} components, got shape {u0.shape}")
+        if not np.isfinite(u0).all():
+            raise ConfigError(f"u0: every component must be finite, got "
+                              f"{self.u0!r}")
         return u0
 
     def resolve_grid(self) -> GridSpec:

@@ -75,27 +75,28 @@ class RunReport:
     propagated: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _serial(prop: Propagator, system: OdeSystem, grid: GridSpec,
-            u0: Array) -> TrajectoryVec:
+def _serial(prop: Propagator, system: OdeSystem, grid: GridSpec, u0: Array,
+            where: str) -> TrajectoryVec:
     """Sequential propagation of ``u0`` through the N chunks by
-    ``integrators._walk``, one compiled call per chunk where it can."""
+    ``integrators._walk``: one compiled call for the whole walk where the
+    kernel runs.  A failure names ``where`` and its chunk."""
     states, failure = _walk(prop.tableau, system, prop.step, u0,
                             np.arange(grid.N + 1) * prop.steps_per_call)
     if failure is not None:
-        raise failure.in_chunk("sweep", len(states)) from failure
+        raise failure.in_chunk(where, len(states)) from failure
     return TrajectoryVec(states)
 
 
 def coarse_sweep(coarse: Propagator, system: OdeSystem, grid: GridSpec,
                  u0: Array) -> TrajectoryVec:
     """Initial guess: sequential coarse propagation from the initial state."""
-    return _serial(coarse, system, grid, u0)
+    return _serial(coarse, system, grid, u0, "coarse guess")
 
 
 def fine_serial_reference(fine: Propagator, system: OdeSystem, grid: GridSpec,
                           u0: Array) -> TrajectoryVec:
     """The target trajectory: sequential fine propagation (zero jumps)."""
-    return _serial(fine, system, grid, u0)
+    return _serial(fine, system, grid, u0, "fine reference")
 
 
 def _changed_rows(a: Array, b: Array) -> Array:

@@ -72,7 +72,8 @@ class _ReferenceCache:
     times are integer multiples of h.  A single uniform walk to the largest
     horizon, keeping the state at the union of every row's interface step
     counts, yields states bit-identical to any per-row serial sweep; it is
-    ``integrators._walk``.  Only the ``(M, d)`` states and their ``(M,)``
+    ``integrators._walk``, one compiled call for all ``M - 1`` stretches
+    where the kernel runs.  Only the ``(M, d)`` states and their ``(M,)``
     step counts are kept.
 
     A walk that fails numerically keeps the states before the failure, and

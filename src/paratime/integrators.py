@@ -16,8 +16,8 @@ chunk on the first that covers the input:
 
 * the compiled kernel (``_kernel.c``, built on first use), when the system
   has a ``kernel`` spec and the tableau is explicit, or implicit with
-  ``d == 1``: one foreign call advances the whole ``(n, d)`` batch, or the
-  one ``(d,)`` state of a :func:`_walk` stretch, over the chunk;
+  ``d == 1``: one foreign call advances the whole ``(n, d)`` batch over the
+  chunk;
 * the float step, a single ``(d,)`` state on Python floats, when the system
   supplies ``scalar_rhs`` (Lorenz-63 alone does) and the tableau is
   explicit;
@@ -40,7 +40,21 @@ output bitwise equal to the numpy step's:
     logistic implicit Euler    1   121 us        -      0.04 us
     logistic implicit Euler  128   113 us        -       2.4 us
 
-A compiled call costs about 6.5 us on top of its steps.
+A compiled chunk call costs about 3-5 us on top of its steps, which is
+most of a short stretch, so a serial walk through many interfaces
+(:func:`_walk`: the coarse guess, the fine reference and a sweep's shared
+reference walk) is one call for all its stretches, not one per stretch.
+Per walk on the seed-0 benchmark workloads, same machine (minima of 200
+calls), with a call per stretch and with one call:
+
+    walk                                 stretches   per stretch   one call
+    logistic-strong-sweep shared walk        128    0.91-1.25 ms    0.40 ms
+    l63-horizon-sweep shared walk             96      1.55 ms    0.57-0.85 ms
+    l96-solve-bound fine reference            64    4.4-5.0 ms   4.0-4.7 ms
+    logistic-strong-sweep coarse guesses     480    3.2-3.7 ms      0.28 ms
+    l63-horizon-sweep coarse guesses         384    3.6-3.7 ms   0.57-0.61 ms
+
+(the coarse guesses are those of one round, one walk per row).
 
 Tangent blocks of shape ``(..., d, m)`` can be carried along any step; they
 are advanced with the exact derivative of the discrete step map (each stage
@@ -419,23 +433,30 @@ def _float_chunk(prop: Propagator, system: OdeSystem, t0, u):
     return out
 
 
+def _covers(tableau: ButcherTableau, system: OdeSystem, u,
+            tangent=None) -> bool:
+    """Whether the compiled kernel can run this input: a state on an
+    explicit tableau, or with ``d == 1`` on the one-stage implicit one, and
+    a tangent block only on an explicit tableau, as a C-contiguous float64
+    array of shape ``u.shape + (m,)``."""
+    return not (
+        system.kernel is None or not isinstance(u, np.ndarray)
+        or u.dtype != np.float64 or u.ndim == 0 or u.size == 0
+        or u.shape[-1] != system.dim
+        or not (tableau.is_explicit or system.dim == 1 and tangent is None)
+        or tangent is not None and not (
+            tangent.dtype == np.float64 and tangent.flags.c_contiguous
+            and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0))
+
+
 def _compiled_kernel(prop: Propagator, system: OdeSystem, u, tangent=None):
-    """The compiled chunk call for this input, or None when it cannot run:
-    a state on an explicit tableau, or with ``d == 1`` on the one-stage
-    implicit one, and a tangent block only on an explicit tableau, as a
-    C-contiguous float64 array of shape ``u.shape + (m,)``."""
-    tableau = prop.tableau
-    if (system.kernel is None or not isinstance(u, np.ndarray)
-            or u.dtype != np.float64 or u.ndim == 0 or u.size == 0
-            or u.shape[-1] != system.dim
-            or not (tableau.is_explicit or system.dim == 1 and tangent is None)
-            or tangent is not None and not (
-                tangent.dtype == np.float64 and tangent.flags.c_contiguous
-                and tangent.shape[:-1] == u.shape and tangent.shape[-1] > 0)):
+    """The compiled chunk call for this input, or None when the kernel
+    cannot run it (see :func:`_covers`)."""
+    if not _covers(prop.tableau, system, u, tangent):
         return None
     if system.kernel not in prop._compiled:
         prop._compiled[system.kernel] = _kernel.runner(
-            system.kernel, prop.float_coeffs, not tableau.is_explicit,
+            system.kernel, prop.float_coeffs, not prop.tableau.is_explicit,
             prop.steps_per_call)
     return prop._compiled[system.kernel]
 
@@ -505,15 +526,27 @@ def _initial_state(system: OdeSystem, u0) -> Array:
 def _walk(tableau: ButcherTableau, system: OdeSystem, h: float, u0,
           steps) -> tuple:
     """``(states, failure)`` of one state walked from ``u0`` through the step
-    counts ``steps`` (from 0) of size ``h``, each stretch one :func:`propagate`
-    of the ``(d,)`` state: one compiled call where the kernel runs.  A
-    stretch's error is the failure: the walk stops there, and ``states``
-    ends before that stretch."""
+    counts ``steps`` (from 0) of size ``h``.  Where the kernel covers the
+    system and tableau, the whole walk is one compiled call; elsewhere, and
+    from a stretch that call found failing, each stretch is one
+    :func:`propagate` of the ``(d,)`` state.  A stretch's error is the
+    failure: the walk stops there, and ``states`` ends before that
+    stretch."""
     states = np.empty((len(steps), system.dim))
     states[0] = _initial_state(system, u0)
+    lengths = np.diff(steps).astype(np.intc)
+    done = 0
+    if lengths.size and _covers(tableau, system, states[0]) and (
+            walk := _kernel.walker(system.kernel,
+                                   Propagator(tableau, h, 1).float_coeffs,
+                                   not tableau.is_explicit)) is not None:
+        states[1] = states[0]
+        status, done = walk(states[1:], lengths)
+        if status == _kernel.NO_MEMORY:
+            raise MemoryError("compiled kernel: out of memory")
     props = {}  # one Propagator, and so one kernel runner, per stretch length
-    for i in range(1, len(steps)):
-        start, length = int(steps[i - 1]), int(steps[i] - steps[i - 1])
+    for i in range(done + 1, len(steps)):
+        start, length = int(steps[i - 1]), int(lengths[i - 1])
         prop = props[length] = props.get(length) or Propagator(tableau, h, length)
         try:
             states[i] = propagate(prop, system, start * h, states[i - 1])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,46 @@ def test_rss_fit_against_rounds_on_canned_runs(bench_pairs):
              "change": {"rounds": None, "peak_rss_mib": v}}
             for v in (40.0, 41.0)]
     assert bench_pairs.rss_fit(flat) == {"base": None, "change": None}
+
+
+def test_a_run_that_exits_non_zero_is_kept_and_counted(bench_pairs, tmp_path,
+                                                       monkeypatch):
+    """A failing run gives its exit code and last stderr line; the script
+    keeps it under ``runs``, counts it for its side, summarizes the pairs
+    that finished and goes on."""
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import sys\nprint('Traceback')\nsys.exit('MemoryError: at round 3')\n")
+    assert bench_pairs.run_once(checkout, "w", 0) == {
+        "exit": 1, "stderr": "MemoryError: at round 3"}
+
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append(checkout)
+        if len(calls) == 3:  # pair 2, its first run
+            return {"exit": 1, "stderr": "MemoryError: at round 3"}
+        result = line(1.0, 40.0)
+        result["rounds"] = 10
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "rev_parse", lambda rev: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, folder: None)
+    monkeypatch.setattr(bench_pairs, "kernel_flags", lambda checkout: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--workload", "w", "--pairs",
+                             "3", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert len(calls) == 6
+    runs = got["runs"]["w"]
+    assert len(runs) == 3
+    # pair 2 runs the change first
+    assert runs[1]["change"] == {"exit": 1,
+                                 "stderr": "MemoryError: at round 3"}
+    assert runs[1]["base"] == {"rounds": 10, "wall_s": 1.0,
+                               "peak_rss_mib": 40.0}
+    summary = got["workloads"]["w"]
+    assert summary["errored"] == {"base": 0, "change": 1}
+    assert summary["pairs"] == 2

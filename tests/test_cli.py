@@ -341,7 +341,12 @@ def test_bounds_prints_the_outer_radius_for_any_beta(argv, radius, slow,
      "--N-list"),
     (["sweep", "--preset", "table-logistic-strong", "--N-list", "128",
       "--out", "/nonexistent/x.csv"], "--out"),
-    (README_BOUNDS + ["--out", "/nonexistent/b.csv"], "--out")])
+    (README_BOUNDS + ["--out", "/nonexistent/b.csv"], "--out"),
+    # A non-finite initial state is bad input, not a numerical failure.
+    (["solve", "--preset", "logistic-single", "--u0", "nan"], "u0"),
+    (["solve", "--preset", "logistic-single", "--u0", "inf"], "u0"),
+    (["solve", "--preset", "lorenz63-single", "--u0", "1,nan,20"], "u0"),
+    (["solve", "--preset", "lorenz63-single", "--u0", "1,-inf,20"], "u0")])
 def test_a_bad_value_for_a_command_flag_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
@@ -389,6 +394,6 @@ def test_newton_failure_names_the_chunk_and_step(capsys):
                  "implicit_euler", "--coarse", "implicit_euler", "--T", "3.6",
                  "--N", "4", "--xi", "1", "--h", "0.9"]) == 2
     assert capsys.readouterr().err == (
-        "numerical failure: sweep failed in chunk 1: implicit stage solve did "
-        "not converge in 50 iterations (max residual 3.213e+00) at internal "
-        "step 0\n")
+        "numerical failure: coarse guess failed in chunk 1: implicit stage "
+        "solve did not converge in 50 iterations (max residual 3.213e+00) at "
+        "internal step 0\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from paratime import integrators
+from paratime import _kernel, integrators
 from paratime.config import SolveConfig, SweepConfig, dump_config, load_config
 from paratime.engine import coarse_sweep, fine_serial_reference
 from paratime.errors import BlowUpError, ConfigError, StepFailureError
@@ -280,21 +280,87 @@ def test_walks_take_the_float_step_only_without_the_kernel(system, tab, u0,
     assert len(calls) == (2 * 1600 + 160 if system.scalar_rhs else 0)
 
 
-@pytest.mark.parametrize("tab, h, u0, error", [
-    (RK4, 0.001, -0.1, BlowUpError),
-    (IMPLICIT_EULER, 0.9, -0.001, StepFailureError)], ids=["blow-up", "newton"])
-def test_walk_failures_read_as_without_the_kernel(tab, h, u0, error):
-    """A failed stretch of the walk on the compiled kernel raises the error,
-    text and indices of the walk without the system's kernel."""
-    grid = GridSpec.make(T=4000 * h, N=4, xi=10, h=h)
-    raised = []
+class _CountingLibrary:
+    """The kernel library, recording each call into one of its entry
+    points."""
+
+    def __init__(self, lib, calls):
+        self._lib, self._calls = lib, calls
+
+    def __getattr__(self, name):
+        entry = getattr(self._lib, name)
+
+        def counted(*args):
+            self._calls.append(name)
+            return entry(*args)
+
+        return counted
+
+
+@pytest.mark.skipif(kernel_path() != "c", reason="needs the compiled kernel")
+@pytest.mark.parametrize("system,tab,u0", WALKS[:2], ids=WALK_IDS[:2])
+def test_each_serial_walk_is_one_foreign_call(system, tab, u0, monkeypatch):
+    """The sweep's shared walk, the fine reference and the coarse guess
+    each enter the kernel once, however many stretches they walk."""
+    calls = []
+    lib = _kernel.load()
+    monkeypatch.setattr(_kernel, "load", lambda: _CountingLibrary(lib, calls))
+    u0, grid = np.array(u0), WALK_GRIDS[-1]
+    walks = {
+        "shared walk": lambda: _ReferenceCache(system, tab, 1e-3, u0,
+                                               WALK_GRIDS),
+        "fine reference": lambda: fine_serial_reference(
+            fine_propagator(grid, tab), system, grid, u0),
+        "coarse guess": lambda: coarse_sweep(
+            coarse_propagator(grid, tab), system, grid, u0)}
+    for name, walk in walks.items():
+        calls.clear()
+        walk()
+        assert len(calls) == 1, name
+
+
+def _grids(h, *chunks):
+    """Grids of ``N`` chunks of ``steps`` steps each, for each ``(N, steps)``
+    in ``chunks``, at ``xi = 10``."""
+    return [GridSpec.make(T=n * steps * h, N=n, xi=10, h=h)
+            for n, steps in chunks]
+
+
+@pytest.mark.parametrize("tab, h, u0, error, grids, failed_at", [
+    (RK4, 0.001, -0.1, BlowUpError, _grids(0.001, (4, 1000)), (2000, 400)),
+    (IMPLICIT_EULER, 0.9, -0.001, StepFailureError, _grids(0.9, (4, 1000)),
+     (0, 1)),
+    # Chunks of 20 and 30 steps: the shared walk's stretches are 20 and 10
+    # steps long.  The blow-up lies inside the 20-step stretch from 2340,
+    # and the Newton failure inside the walk's second stretch.
+    (RK4, 0.001, -0.105, BlowUpError, _grids(0.001, (120, 20), (80, 30)),
+     (2340, 15)),
+    (IMPLICIT_EULER, 0.2, -0.001, StepFailureError,
+     _grids(0.2, (10, 20), (10, 30)), (20, 7))],
+    ids=["blow-up", "newton", "blow-up-in-a-longer-stretch",
+         "newton-after-the-first-stretch"])
+def test_walk_failures_read_as_without_the_kernel(tab, h, u0, error, grids,
+                                                  failed_at):
+    """A failed stretch of a walk on the compiled kernel raises the error,
+    text and indices of the walk without the system's kernel, and the
+    sweep's shared walk keeps the same states and step counts, bit for
+    bit, and names the same stretch."""
+    raised, kept = [], []
     for system in (make_logistic(),
                    dataclasses.replace(make_logistic(), kernel=None)):
-        with pytest.raises(error) as exc:
+        cache = _ReferenceCache(system, tab, h, np.array([u0]), grids)
+        start, exc = cache.failure
+        assert isinstance(exc, error)
+        assert (start, exc.step_index) == failed_at
+        kept.append((cache.states.tobytes(), cache.steps.tolist(), start,
+                     str(exc)))
+        grid = grids[-1]
+        with pytest.raises(error) as err:
             fine_serial_reference(fine_propagator(grid, tab), system, grid,
                                   np.array([u0]))
-        raised.append((str(exc.value), exc.value.step_index,
-                       exc.value.chunk_index))
+        raised.append((str(err.value), err.value.step_index,
+                       err.value.chunk_index))
+    assert kept[0] == kept[1]
     assert raised[0] == raised[1]
 
 
@@ -340,5 +406,4 @@ def test_reference_newton_failure_names_the_row_chunk_and_step(tmp_path):
         fine_serial_reference(fine_propagator(grid, IMPLICIT_EULER),
                               make_logistic(), grid, np.array([-0.001]))
     assert (serial.value.chunk_index, serial.value.step_index) == (1, 1)
-    assert second["error"] == str(serial.value).replace(
-        "sweep", "fine reference", 1)
+    assert second["error"] == str(serial.value)
